@@ -18,13 +18,15 @@ test:
 
 # race runs the concurrency-heavy packages under the race detector: the
 # service, its telemetry layer, the simulator core, the fault-injection
-# layer, and the advisor search engine the service dispatches to.
+# layer, and the advisor search engine the service runs.
 race:
 	$(GO) test -race ./internal/mapd/... ./internal/obs/... ./internal/sim/... ./internal/fault/... ./internal/mpi/... ./internal/procmap/... ./internal/fleet/... ./internal/advisor/... ./internal/metrics/...
 
 # check is the tier-1 gate: formatting, vet, staticcheck (when installed),
 # build (including the serving commands), the full test suite under the
-# race detector, and a fault injection smoke run of the benchmark driver.
+# race detector, vet and tests of the perfbench module (its own go.mod,
+# so a break in the API it imports shows here), and a fault injection
+# smoke run of the benchmark driver.
 check:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -39,6 +41,7 @@ check:
 	$(GO) build ./...
 	$(GO) build ./cmd/mrserved ./cmd/mrload ./cmd/mrgate
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet . && $(GO) test .
 	$(GO) run ./cmd/mrbench -fig 3 -maxsize 16KB -iters 1 \
 		-faults "straggle:rank=3,factor=4;link:level=1,degrade=0.8" > /dev/null
 	$(GO) run ./cmd/mrperf smoke

@@ -9,11 +9,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/advisor"
-	"repro/internal/cluster"
 	"repro/internal/hwdetect"
 	"repro/internal/mapd"
-	"repro/internal/netmodel"
 	"repro/internal/perm"
 	"repro/internal/procset"
 	"repro/internal/topology"
@@ -21,111 +18,51 @@ import (
 
 func cmdAdvise(args []string) error {
 	fs := flag.NewFlagSet("advise", flag.ExitOnError)
-	machine := fs.String("machine", "hydra", "machine model: hydra, lumi, or cloud")
+	machine := fs.String("machine", "hydra", "machine model: hydra, hydra-real, lumi, or cloud")
 	nodes := fs.Int("nodes", 16, "number of compute nodes (hydra/lumi)")
 	depth := fs.Int("depth", 0, "cloud hierarchy depth 6..12 (cloud only; 0 = default 10)")
 	coll := fs.String("coll", "alltoall", "collective: alltoall, allgather, allreduce")
 	comm := fs.Int("comm", 16, "subcommunicator size")
 	size := fs.Int64("size", 16<<20, "total collective size in bytes")
 	simultaneous := fs.Bool("all", true, "all subcommunicators run simultaneously")
-	top := fs.Int("top", 5, "how many recommendations to print")
-	threshold := fs.Int("search-threshold", 0,
-		"largest depth searched exhaustively; deeper uses branch-and-bound/beam (0 = default 7)")
+	top := fs.Int("top", 5, "how many recommendations to print (at most 64)")
 	asJSON := fs.Bool("json", false, "emit the service's canonical /v1/advise response")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *asJSON {
-		req := mapd.AdviseRequest{
-			Machine:      *machine,
-			Collective:   *coll,
-			CommSize:     *comm,
-			Bytes:        *size,
-			Simultaneous: *simultaneous,
-			Top:          *top,
-		}
-		if *machine == "cloud" {
-			req.Depth = *depth
-		} else {
-			req.Nodes = *nodes
-		}
-		resp, err := mapd.EvalAdviseOpts(context.Background(), req, mapd.AdviseOptions{
-			SearchDepthThreshold: *threshold,
-		})
-		if err != nil {
-			return err
-		}
-		return emitJSON(resp)
-	}
-	var spec netmodel.Spec
-	var h topology.Hierarchy
-	switch *machine {
-	case "hydra":
-		spec = clusterHydra(*nodes)
-		h = spec.Hierarchy()
-	case "lumi":
-		spec = clusterLUMI(*nodes)
-		h = spec.Hierarchy()
-	case "cloud":
-		d := *depth
-		if d == 0 {
-			d = 10
-		}
-		if d < cluster.CloudMinDepth || d > cluster.CloudMaxDepth {
-			return fmt.Errorf("cloud depth %d out of range %d..%d", d, cluster.CloudMinDepth, cluster.CloudMaxDepth)
-		}
-		spec = cluster.Cloud(d)
-		h = spec.Hierarchy()
-	default:
-		return fmt.Errorf("unknown machine %q", *machine)
-	}
-	sc := advisor.Scenario{
-		Spec:         spec,
-		Hierarchy:    h,
-		Coll:         advisor.Collective(*coll),
+	req := mapd.AdviseRequest{
+		Machine:      *machine,
+		Collective:   *coll,
 		CommSize:     *comm,
-		Simultaneous: *simultaneous,
 		Bytes:        *size,
+		Simultaneous: *simultaneous,
+		Top:          *top,
 	}
-	thr := *threshold
-	if thr <= 0 {
-		thr = mapd.DefaultSearchDepthThreshold
+	if *machine == "cloud" {
+		req.Depth = *depth
+	} else {
+		req.Nodes = *nodes
 	}
-	if h.Depth() > thr {
-		// Deep hierarchy: k! orders are out of reach — run the bounded
-		// branch-and-bound/beam search and report what it accounted for.
-		res, err := advisor.SearchOrders(context.Background(), sc, advisor.SearchOptions{Top: *top})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s search for %s (%d ranks/comm, %d bytes, simultaneous=%v) on %s:\n",
-			res.Mode, *coll, *comm, *size, *simultaneous, h)
-		fmt.Printf("    accounted %d of %d! orders; evaluated %d order classes across %d search nodes",
-			res.Covered+res.Pruned, h.Depth(), res.Evaluated, res.Nodes)
-		if res.OptimalityGap > 0 {
-			fmt.Printf(" (optimality gap %.4f)", res.OptimalityGap)
-		}
-		fmt.Println()
-		for i, pr := range res.Best {
-			fmt.Printf("%2d. %s\n", i+1, advisor.Explain(sc, pr))
-		}
-		fmt.Printf("    …\nworst evaluated: %s\n", advisor.Explain(sc, res.Worst))
-		return nil
-	}
-	ranked, err := advisor.Recommend(sc, nil)
+	resp, err := mapd.EvalAdviseOpts(context.Background(), req, mapd.AdviseOptions{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ranking %d orders for %s (%d ranks/comm, %d bytes, simultaneous=%v) on %s:\n",
-		len(ranked), *coll, *comm, *size, *simultaneous, h)
-	n := *top
-	if n > len(ranked) {
-		n = len(ranked)
+	if *asJSON {
+		return emitJSON(resp)
 	}
-	for i := 0; i < n; i++ {
-		fmt.Printf("%2d. %s\n", i+1, advisor.Explain(sc, ranked[i]))
+	h := topology.MustNew(resp.Hierarchy...)
+	fmt.Printf("%s search for %s (%d ranks/comm, %d bytes, simultaneous=%v) on %s:\n",
+		resp.SearchMode, *coll, *comm, *size, *simultaneous, h)
+	fmt.Printf("    accounted %d of %d! orders; evaluated %d order classes",
+		resp.Evaluated, h.Depth(), resp.OrdersEvaluated)
+	if resp.OptimalityGap > 0 {
+		fmt.Printf(" (optimality gap %.4f)", resp.OptimalityGap)
 	}
-	fmt.Printf("    …\n%2d. %s\n", len(ranked), advisor.Explain(sc, ranked[len(ranked)-1]))
+	fmt.Println()
+	for i, pr := range resp.Best {
+		fmt.Printf("%2d. %s\n", i+1, pr.Explain)
+	}
+	fmt.Printf("    …\nworst evaluated: %s\n", resp.Worst.Explain)
 	return nil
 }
 
@@ -203,6 +140,3 @@ func joinArities(h topology.Hierarchy) string {
 	}
 	return out
 }
-
-func clusterHydra(nodes int) netmodel.Spec { return cluster.Hydra(nodes, 1) }
-func clusterLUMI(nodes int) netmodel.Spec  { return cluster.LUMI(nodes) }

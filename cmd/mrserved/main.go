@@ -55,8 +55,6 @@ type options struct {
 	sample       float64
 	cache        int
 	shards       int
-	workers      int
-	searchDepth  int
 	timeout      time.Duration
 	matrixBudget time.Duration
 	maxBody      int64
@@ -73,19 +71,16 @@ var logger = rt.NewTextLogger(os.Stderr, slog.LevelInfo)
 func buildServers(o options) (*mapd.Server, *http.Server, *rt.Tracer) {
 	tracer := rt.NewTracer(rt.Options{Service: "mrserved", SampleRatio: o.sample})
 	srv := mapd.New(mapd.Config{
-		Name:          o.name,
-		CacheEntries:  o.cache,
-		CacheShards:   o.shards,
-		AdviseWorkers: o.workers,
-
-		SearchDepthThreshold: o.searchDepth,
-		MaxBody:              o.maxBody,
-		Timeout:              o.timeout,
-		MatrixBudget:         o.matrixBudget,
-		MaxInflight:          o.maxInflight,
-		StatsClasses:         o.statClasses,
-		Tracer:               tracer,
-		Logger:               logger,
+		Name:         o.name,
+		CacheEntries: o.cache,
+		CacheShards:  o.shards,
+		MaxBody:      o.maxBody,
+		Timeout:      o.timeout,
+		MatrixBudget: o.matrixBudget,
+		MaxInflight:  o.maxInflight,
+		StatsClasses: o.statClasses,
+		Tracer:       tracer,
+		Logger:       logger,
 	})
 	httpSrv := &http.Server{
 		Handler:           srv.Handler(),
@@ -172,9 +167,6 @@ func main() {
 	flag.Float64Var(&o.sample, "sample", 1, "trace head-sampling ratio (1 = all; negative = errors only)")
 	flag.IntVar(&o.cache, "cache", 4096, "result-cache capacity in entries (negative disables)")
 	flag.IntVar(&o.shards, "shards", 16, "result-cache shard count")
-	flag.IntVar(&o.workers, "workers", 0, "advisor worker-pool size per evaluation (0 = GOMAXPROCS)")
-	flag.IntVar(&o.searchDepth, "search-depth-threshold", 0,
-		"largest hierarchy depth advised with the exhaustive order search; deeper runs branch-and-bound/beam (0 = default 7, max 8)")
 	flag.DurationVar(&o.timeout, "timeout", 10*time.Second, "per-evaluation budget")
 	flag.DurationVar(&o.matrixBudget, "matrix-budget", 0, "matrix-aware search budget before degrading to the \u03c3-order fallback (0 = -timeout)")
 	flag.Int64Var(&o.maxBody, "max-body", 1<<20, "maximum request body in bytes")

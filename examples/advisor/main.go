@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 		Simultaneous: true,
 		Bytes:        16 << 20,
 	}
-	ranked, err := advisor.Recommend(sc, nil)
+	ranked, err := advisor.Rank(context.Background(), sc, nil, advisor.RankOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,6 @@
 package advisor
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/metrics"
@@ -250,24 +249,6 @@ func crossingBytes(coll Collective, cores []int, domSize, dom, a, p int, B float
 		return float64(edges) * perEdge
 	}
 	return 0
-}
-
-// Recommend ranks the given orders by predicted bandwidth (best first).
-// With a nil order list it enumerates all k! orders of the hierarchy.
-// Equal-bandwidth orders sort by lexicographic order permutation so the
-// ranking is deterministic. Recommend is the sequential convenience form of
-// Rank.
-func Recommend(sc Scenario, orders [][]int) ([]Prediction, error) {
-	return Rank(context.Background(), sc, orders, RankOptions{Workers: 1})
-}
-
-// Best returns the top recommendation.
-func Best(sc Scenario) (Prediction, error) {
-	ranked, err := Recommend(sc, nil)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return ranked[0], nil
 }
 
 // Explain renders a short human-readable justification.

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestPredictFigure3Shape(t *testing.T) {
 
 func TestRecommendOrdersAll(t *testing.T) {
 	sc := hydraScenario(true)
-	ranked, err := Recommend(sc, nil)
+	ranked, err := Rank(context.Background(), sc, nil, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +94,13 @@ func TestRecommendOrdersAll(t *testing.T) {
 			t.Fatal("recommendations not sorted")
 		}
 	}
-	best, err := Best(sc)
+	res, err := SearchOrders(context.Background(), sc, SearchOptions{Top: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	best := res.Best[0]
 	if !perm.Equal(best.Order, ranked[0].Order) {
-		t.Error("Best disagrees with Recommend head")
+		t.Error("search best disagrees with the ranking head")
 	}
 	// Under full contention the packed family must rank on top.
 	ch := perm.Format(best.Order)

@@ -129,8 +129,10 @@ type SearchResult struct {
 	// descending, lexicographic tie-break). In ModeBnB it is provably
 	// identical to the head of the exhaustive ranking.
 	Best []Prediction
-	// Worst is the worst *evaluated* class (the true global worst in a
-	// completed run can live in a pruned subtree).
+	// Worst is the worst *evaluated* order: the lexicographically
+	// greatest member of the lowest-bandwidth evaluated class, which is
+	// Rank's last entry whenever nothing was pruned (the true global
+	// worst can otherwise live in a pruned subtree).
 	Worst Prediction
 	// Mode is ModeBnB or ModeBeam.
 	Mode string
@@ -175,6 +177,9 @@ func SearchOrders(ctx context.Context, sc Scenario, opts SearchOptions) (*Search
 	p := sc.CommSize
 	if p <= 0 || sc.Hierarchy.Size()%p != 0 {
 		return nil, fmt.Errorf("advisor: communicator size %d does not divide %d", p, sc.Hierarchy.Size())
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	ctx, span := rt.StartSpan(ctx, "advisor.search")
@@ -544,6 +549,9 @@ func (e *bnbEngine) firstCommPredict(prefix []int) (Prediction, error) {
 	if pr, ok := e.fcMemo[key]; ok {
 		return pr, nil
 	}
+	if err := e.ctx.Err(); err != nil {
+		return Prediction{}, err
+	}
 	pr, err := Predict(e.fcSc, sigma)
 	if err != nil {
 		return Prediction{}, err
@@ -565,6 +573,9 @@ func (e *bnbEngine) evalLeaf(prefix []int) error {
 	key := sig.Key()
 	pr, ok := e.memo[key]
 	if !ok {
+		if err := e.ctx.Err(); err != nil {
+			return err
+		}
 		pr, err = Predict(e.sc, sigma)
 		if err != nil {
 			return err
@@ -581,13 +592,18 @@ func (e *bnbEngine) evalLeaf(prefix []int) error {
 		e.best = best
 		e.emit(ProgressIncumbent)
 	}
-	if !e.haveWorst || pr.Time > e.worst.Time {
-		w := pr
-		// The lexicographically greatest member (prefix + descending
-		// rest) mirrors Rank's worst-entry tie-break.
-		w.Order = append(append([]int(nil), sigma[:split]...), reverseInts(sigma[split:])...)
-		e.worst = w
-		e.haveWorst = true
+	// The class's lexicographically greatest member (prefix + descending
+	// rest) stands for it: Rank ranks equal-bandwidth orders
+	// lexicographically, so its last entry is the greatest member of the
+	// lowest-bandwidth classes. Leaves arrive in canonical order in the
+	// DFS but in bound order in the beam, so the tie is broken explicitly.
+	if !e.haveWorst || pr.Bandwidth <= e.worst.Bandwidth {
+		greatest := append(append([]int(nil), sigma[:split]...), reverseInts(sigma[split:])...)
+		if !e.haveWorst || pr.Bandwidth < e.worst.Bandwidth || perm.Less(e.worst.Order, greatest) {
+			e.worst = pr
+			e.worst.Order = greatest
+			e.haveWorst = true
+		}
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package advisor
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -32,11 +34,18 @@ func specFor(h topology.Hierarchy) netmodel.Spec {
 // every shape × collective × divisor × one-vs-all-comms scenario, the
 // bounded search must return exactly the head of the exhaustive ranking —
 // same orders, same values — with a zero gap and a complete accounting
-// (Covered + Pruned = k!).
+// (Covered + Pruned = k!). The shapes include the machines /v1/advise
+// serves with their real specs, and the answer is checked both at the
+// default response size and at the largest one the service allows.
 func TestBnBEqualsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	colls := []Collective{Alltoall, Allgather, Allreduce}
-	shapes := [][]int{
+	type machine struct {
+		h    topology.Hierarchy
+		spec netmodel.Spec
+	}
+	var machines []machine
+	for _, ar := range [][]int{
 		{2, 2, 4},
 		{2, 2, 2, 2},
 		{4, 2, 2, 2},
@@ -44,73 +53,93 @@ func TestBnBEqualsFull(t *testing.T) {
 		{2, 2, 2, 2, 2},
 		{2, 2, 2, 2, 2, 4},    // cluster.Cloud(6)
 		{2, 2, 2, 2, 2, 2, 4}, // cluster.Cloud(7)
-	}
-	const top = 10
-	for _, ar := range shapes {
+	} {
 		h := topology.MustNew(ar...)
-		spec := specFor(h)
+		machines = append(machines, machine{h, specFor(h)})
+	}
+	for _, spec := range []netmodel.Spec{
+		cluster.Hydra(4, 1), // ⟦4,2,2,8⟧
+		cluster.LUMI(2),     // ⟦2,2,4,2,8⟧
+	} {
+		machines = append(machines, machine{spec.Hierarchy(), spec})
+	}
+	for _, m := range machines {
+		h, ar := m.h, m.h.Arities()
 		for _, coll := range colls {
 			for _, sim := range []bool{false, true} {
 				for _, p := range divisorsOf(h.Size()) {
 					sc := Scenario{
-						Spec:         spec,
+						Spec:         m.spec,
 						Hierarchy:    h,
 						Coll:         coll,
 						CommSize:     p,
 						Simultaneous: sim,
 						Bytes:        int64(1+rng.Intn(64)) << 16,
 					}
-					ranked, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 2})
+					ranked, err := Rank(context.Background(), sc, nil, RankOptions{})
 					if err != nil {
 						t.Fatalf("rank (%v, %s, p=%d, sim=%v): %v", ar, coll, p, sim, err)
 					}
-					res, err := SearchOrders(context.Background(), sc, SearchOptions{Top: top})
-					if err != nil {
-						t.Fatalf("search (%v, %s, p=%d, sim=%v): %v", ar, coll, p, sim, err)
-					}
-					if res.Mode != ModeBnB {
-						t.Fatalf("mode %q, want %q (%v, %s, p=%d, sim=%v)", res.Mode, ModeBnB, ar, coll, p, sim)
-					}
-					if res.OptimalityGap != 0 {
-						t.Fatalf("bnb gap %v, want 0", res.OptimalityGap)
-					}
-					kf := perm.Factorial(h.Depth())
-					if res.Covered+res.Pruned != kf {
-						t.Fatalf("covered %d + pruned %d != %d! (%v, %s, p=%d, sim=%v)",
-							res.Covered, res.Pruned, kf, ar, coll, p, sim)
-					}
-					want := top
-					if len(ranked) < want {
-						want = len(ranked)
-					}
-					if len(res.Best) != want {
-						t.Fatalf("got %d best orders, want %d (%v, %s, p=%d, sim=%v)",
-							len(res.Best), want, ar, coll, p, sim)
-					}
-					for i := 0; i < want; i++ {
-						if !perm.Equal(ranked[i].Order, res.Best[i].Order) {
-							t.Fatalf("rank %d order mismatch (%v, %s, p=%d, sim=%v): full %v bnb %v",
-								i, ar, coll, p, sim, ranked[i].Order, res.Best[i].Order)
+					for _, top := range []int{10, 64} {
+						res, err := SearchOrders(context.Background(), sc, SearchOptions{Top: top})
+						if err != nil {
+							t.Fatalf("search (%v, %s, p=%d, sim=%v): %v", ar, coll, p, sim, err)
 						}
-						if ranked[i].Time != res.Best[i].Time || ranked[i].Bandwidth != res.Best[i].Bandwidth ||
-							ranked[i].BottleneckLevel != res.Best[i].BottleneckLevel {
-							t.Fatalf("rank %d value mismatch for order %v (%v, %s, p=%d, sim=%v): full %+v bnb %+v",
-								i, ranked[i].Order, ar, coll, p, sim, ranked[i], res.Best[i])
-						}
-					}
-					// Worst is the worst *evaluated* class: it can never be
-					// better than the true best or worse than the true worst.
-					trueWorst := ranked[len(ranked)-1]
-					if res.Worst.Time > trueWorst.Time || res.Worst.Time < ranked[0].Time {
-						t.Fatalf("worst evaluated %v outside [best %v, worst %v]",
-							res.Worst.Time, ranked[0].Time, trueWorst.Time)
-					}
-					if res.Evaluated <= 0 || res.Evaluated > int64(len(ranked)) {
-						t.Fatalf("evaluated %d out of range (n=%d)", res.Evaluated, len(ranked))
+						checkBnBAgainstRanking(t, fmt.Sprintf("%v, %s, p=%d, sim=%v, top=%d", ar, coll, p, sim, top),
+							h, ranked, res, top)
 					}
 				}
 			}
 		}
+	}
+}
+
+// checkBnBAgainstRanking asserts that one completed branch-and-bound
+// result is the head of the exhaustive ranking.
+func checkBnBAgainstRanking(t *testing.T, where string, h topology.Hierarchy, ranked []Prediction, res *SearchResult, top int) {
+	t.Helper()
+	if res.Mode != ModeBnB {
+		t.Fatalf("mode %q, want %q (%s)", res.Mode, ModeBnB, where)
+	}
+	if res.OptimalityGap != 0 {
+		t.Fatalf("bnb gap %v, want 0 (%s)", res.OptimalityGap, where)
+	}
+	kf := perm.Factorial(h.Depth())
+	if res.Covered+res.Pruned != kf {
+		t.Fatalf("covered %d + pruned %d != %d! (%s)", res.Covered, res.Pruned, kf, where)
+	}
+	want := top
+	if len(ranked) < want {
+		want = len(ranked)
+	}
+	if len(res.Best) != want {
+		t.Fatalf("got %d best orders, want %d (%s)", len(res.Best), want, where)
+	}
+	for i := 0; i < want; i++ {
+		if !perm.Equal(ranked[i].Order, res.Best[i].Order) {
+			t.Fatalf("rank %d order mismatch (%s): full %v bnb %v",
+				i, where, ranked[i].Order, res.Best[i].Order)
+		}
+		if ranked[i].Time != res.Best[i].Time || ranked[i].Bandwidth != res.Best[i].Bandwidth ||
+			ranked[i].BottleneckLevel != res.Best[i].BottleneckLevel {
+			t.Fatalf("rank %d value mismatch for order %v (%s): full %+v bnb %+v",
+				i, ranked[i].Order, where, ranked[i], res.Best[i])
+		}
+	}
+	// Worst is the worst *evaluated* order: it can never be better than
+	// the true best or worse than the true worst, and with nothing pruned
+	// it is exactly the ranking's last entry, tie-break included.
+	trueWorst := ranked[len(ranked)-1]
+	if res.Worst.Time > trueWorst.Time || res.Worst.Time < ranked[0].Time {
+		t.Fatalf("worst evaluated %v outside [best %v, worst %v] (%s)",
+			res.Worst.Time, ranked[0].Time, trueWorst.Time, where)
+	}
+	if res.Pruned == 0 && (!perm.Equal(res.Worst.Order, trueWorst.Order) || res.Worst.Time != trueWorst.Time) {
+		t.Fatalf("nothing pruned, yet worst %v (%v s) != ranking's last %v (%v s) (%s)",
+			res.Worst.Order, res.Worst.Time, trueWorst.Order, trueWorst.Time, where)
+	}
+	if res.Evaluated <= 0 || res.Evaluated > int64(len(ranked)) {
+		t.Fatalf("evaluated %d out of range (n=%d, %s)", res.Evaluated, len(ranked), where)
 	}
 }
 
@@ -132,7 +161,7 @@ func TestBeamGapUpperBound(t *testing.T) {
 					Simultaneous: sim,
 					Bytes:        8 << 20,
 				}
-				ranked, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 2})
+				ranked, err := Rank(context.Background(), sc, nil, RankOptions{})
 				if err != nil {
 					t.Fatalf("rank (%s, p=%d, sim=%v): %v", coll, p, sim, err)
 				}
@@ -160,6 +189,23 @@ func TestBeamGapUpperBound(t *testing.T) {
 				if trueBest.Time < lower*(1-1e-12) {
 					t.Fatalf("gap %v does not cover the true gap: optimum %v < guaranteed floor %v (%s, p=%d, sim=%v)",
 						res.OptimalityGap, trueBest.Time, lower, coll, p, sim)
+				}
+
+				// A beam wide enough to drop nothing evaluates every leaf,
+				// in bound order rather than lexicographic order; its
+				// worst must still be the ranking's last entry.
+				wide, err := SearchOrders(context.Background(), sc, SearchOptions{NodeBudget: 1, BeamWidth: 1 << 20})
+				if err != nil {
+					t.Fatalf("wide beam (%s, p=%d, sim=%v): %v", coll, p, sim, err)
+				}
+				trueWorst := ranked[len(ranked)-1]
+				if wide.Covered != int64(len(ranked)) || wide.OptimalityGap != 0 {
+					t.Fatalf("wide beam covered %d of %d orders, gap %v (%s, p=%d, sim=%v)",
+						wide.Covered, len(ranked), wide.OptimalityGap, coll, p, sim)
+				}
+				if !perm.Equal(wide.Worst.Order, trueWorst.Order) || wide.Worst.Time != trueWorst.Time {
+					t.Fatalf("wide beam worst %v (%v s) != ranking's last %v (%v s) (%s, p=%d, sim=%v)",
+						wide.Worst.Order, wide.Worst.Time, trueWorst.Order, trueWorst.Time, coll, p, sim)
 				}
 			}
 		}
@@ -225,19 +271,29 @@ func TestSearchOrdersMetrics(t *testing.T) {
 	}
 }
 
-// TestSearchOrdersCancel: a cancelled context must stop the descent.
+// TestSearchOrdersCancel: a cancelled context must stop the search, both
+// a long descent and one far smaller than the periodic node-count check
+// (every Hydra advise is that small).
 func TestSearchOrdersCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	h := topology.MustNew(2, 2, 2, 2, 2, 2, 2)
-	sc := Scenario{
+	hydra := cluster.Hydra(4, 1)
+	for _, sc := range []Scenario{{
 		Spec:      cluster.LUMI(16),
-		Hierarchy: h,
+		Hierarchy: topology.MustNew(2, 2, 2, 2, 2, 2, 2),
 		Coll:      Alltoall,
 		CommSize:  128,
 		Bytes:     1 << 20,
-	}
-	if _, err := SearchOrders(ctx, sc, SearchOptions{Top: 1}); err == nil {
-		t.Fatal("expected context error from cancelled search")
+	}, {
+		Spec:         hydra,
+		Hierarchy:    hydra.Hierarchy(), // ⟦4,2,2,8⟧
+		Coll:         Allreduce,
+		CommSize:     16,
+		Simultaneous: true,
+		Bytes:        16 << 20,
+	}} {
+		if _, err := SearchOrders(ctx, sc, SearchOptions{Top: 1}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("search on %v with a cancelled context: err = %v, want context.Canceled", sc.Hierarchy, err)
+		}
 	}
 }

@@ -49,11 +49,11 @@ func TestRankPrunedEqualsFull(t *testing.T) {
 						Simultaneous: sim,
 						Bytes:        int64(1+rng.Intn(64)) << 16,
 					}
-					full, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 2, NoPrune: true})
+					full, err := Rank(context.Background(), sc, nil, RankOptions{NoPrune: true})
 					if err != nil {
 						t.Fatalf("full rank (%v, %s, p=%d): %v", ar, coll, p, err)
 					}
-					pruned, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 2})
+					pruned, err := Rank(context.Background(), sc, nil, RankOptions{})
 					if err != nil {
 						t.Fatalf("pruned rank (%v, %s, p=%d): %v", ar, coll, p, err)
 					}

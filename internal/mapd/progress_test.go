@@ -6,6 +6,7 @@ package mapd
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,9 +56,9 @@ func TestProgressTableLifecycle(t *testing.T) {
 	}
 }
 
-// TestAdviseProgressEndpoint drives a deep (bounded-search) advise
-// through the HTTP server and checks that /v1/advise/progress reports
-// it afterwards with the search's tallies.
+// TestAdviseProgressEndpoint drives a deep and a shallow advise through
+// the HTTP server and checks that /v1/advise/progress reports both
+// afterwards with the search's tallies.
 func TestAdviseProgressEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	code, body := post(t, ts, "/v1/advise",
@@ -91,7 +92,7 @@ func TestAdviseProgressEndpoint(t *testing.T) {
 		t.Fatalf("recent entry missing search tallies: %+v", e)
 	}
 
-	// A shallow advise runs the exact ranking and must not register.
+	// A shallow advise runs the same search and registers too.
 	code, body = post(t, ts, "/v1/advise",
 		`{"machine":"hydra","nodes":4,"collective":"allreduce","comm_size":16}`)
 	if code != http.StatusOK {
@@ -106,7 +107,10 @@ func TestAdviseProgressEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp2.Body).Decode(&rep2); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if len(rep2.Recent) != len(rep.Recent) {
-		t.Fatalf("shallow advise registered in the progress table: %+v", rep2.Recent)
+	if len(rep2.Recent) != len(rep.Recent)+1 {
+		t.Fatalf("shallow advise did not register in the progress table: %+v", rep2.Recent)
+	}
+	if e := rep2.Recent[0]; !e.Done || e.Mode != advisor.ModeBnB || !strings.HasPrefix(e.Key, "advise|hydra|4|") {
+		t.Fatalf("newest recent entry = %+v, want the finished hydra search", e)
 	}
 }

@@ -40,15 +40,6 @@ type Config struct {
 	// CacheShards is the shard count of the cache (default 16, rounded up
 	// to a power of two).
 	CacheShards int
-	// AdviseWorkers bounds the worker pool of one order-ranking evaluation
-	// (default GOMAXPROCS).
-	AdviseWorkers int
-	// SearchDepthThreshold is the largest hierarchy depth /v1/advise
-	// serves with the exhaustive (exact/pruned) ranking; deeper
-	// hierarchies run the bounded branch-and-bound / beam search.
-	// 0 means DefaultSearchDepthThreshold; values clamp to
-	// [1, MaxExactAdviseDepth].
-	SearchDepthThreshold int
 	// MaxBody caps the request body in bytes (default 1 MiB).
 	MaxBody int64
 	// Timeout bounds one evaluation (default 10 s). Evaluations run on a
@@ -189,7 +180,7 @@ func New(cfg Config) *Server {
 		"mapd_advise_fallback_total":                  "Answers served by the breaker-open fallback, any guarded endpoint.",
 		"mapd_matrix_fallback_total":                  "Matrix-map answers degraded to the σ-order baseline (breaker open or over budget).",
 		"mapd_breaker_state":                          "Advisor circuit breaker state (0 closed, 1 open, 2 half-open).",
-		"advisor_search_seconds":                      "Order-search latency, by search mode (exact/pruned/bnb/beam/matrix/fallback).",
+		"advisor_search_seconds":                      "Order-search latency, by search mode (bnb/beam/matrix/fallback).",
 		"advisor_search_nodes":                        "Live search progress: nodes expanded by the in-flight bounded search, by mode.",
 		"advisor_search_incumbent_seconds":            "Live search progress: best completion time found so far, by mode.",
 		"advisor_search_bound_gap":                    "Live search progress: (incumbent − root bound)/incumbent, by mode.",
@@ -203,7 +194,7 @@ func New(cfg Config) *Server {
 		"mapd_stats_class_hit_rate":                   "Workload analytics: cache hit rate by canonical shape class.",
 		"mapd_stats_depth_requests":                   "Workload analytics: requests by hierarchy depth.",
 		"mapd_stats_collective_requests":              "Workload analytics: advise requests by collective.",
-		"mapd_stats_search_requests":                  "Workload analytics: order searches by mode (exact/pruned/bnb/beam/matrix/fallback).",
+		"mapd_stats_search_requests":                  "Workload analytics: order searches by mode (bnb/beam/matrix/fallback).",
 		"mapd_stats_endpoint_requests":                "Workload analytics: requests by API endpoint.",
 		"mapd_stats_tracked_classes":                  "Workload analytics: shape classes currently tracked (≤ K).",
 		"mapd_stats_distinct_classes_estimate":        "Workload analytics: sketch estimate of distinct shape classes seen.",
@@ -241,7 +232,7 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 //	POST /v1/metrics/order  ring cost & pairs per level (§3.3)
 //	GET  /metrics           Prometheus exposition of the registry
 //	GET  /v1/stats          cardinality-bounded workload analytics
-//	GET  /v1/advise/progress  live progress of in-flight deep searches
+//	GET  /v1/advise/progress  live progress of in-flight order searches
 //	GET  /v1/slo            rolling SLO burn rates per endpoint
 //	GET  /healthz           liveness probe
 //
@@ -276,23 +267,15 @@ func (s *Server) Handler() http.Handler {
 				s.AdviseHook()
 			}
 			s.evals.Add(1)
-			opts := AdviseOptions{
-				Rank: advisor.RankOptions{
-					Workers:  s.cfg.AdviseWorkers,
-					Registry: s.reg,
-					OnStats:  func(rs advisor.RankStats) { s.stats.observeSearch(rs.Mode) },
-				},
-				SearchDepthThreshold: s.cfg.SearchDepthThreshold,
-			}
-			if q.spec.Hierarchy().Depth() > opts.threshold() {
-				// Deep advise: the bounded search can run for seconds, so
-				// register it with the live-progress table surfaced on
-				// GET /v1/advise/progress.
-				h := s.search.start(q.Key())
-				defer h.finish()
-				opts.Search.Progress = h.update
-			}
-			resp, err := evalAdvise(ctx, q, opts)
+			// Deep searches can run for seconds; every search registers
+			// with the live-progress table on GET /v1/advise/progress.
+			h := s.search.start(q.Key())
+			defer h.finish()
+			resp, err := evalAdvise(ctx, q, AdviseOptions{Search: advisor.SearchOptions{
+				Registry: s.reg,
+				OnStats:  func(rs advisor.RankStats) { s.stats.observeSearch(rs.Mode) },
+				Progress: h.update,
+			}})
 			if s.breaker != nil {
 				// Client errors say nothing about the service's health.
 				s.breaker.Record(err == nil || errors.Is(err, ErrBadRequest))
@@ -436,7 +419,7 @@ func (s *Server) Handler() http.Handler {
 
 // recordMatrixSearch labels one matrix-map placement search in the
 // advisor_search_* series and the workload analytics, so dashboards see
-// matrix searches alongside the advisor's exact/pruned/fallback modes.
+// matrix searches alongside the advisor's bnb/beam/fallback modes.
 func (s *Server) recordMatrixSearch(mode string, resp *MatrixMapResponse, elapsed time.Duration) {
 	ml := obs.L("mode", mode)
 	s.reg.Counter("advisor_class_misses_total", ml).AddInt(resp.OrdersEvaluated)
@@ -671,7 +654,7 @@ func (s *Server) serveGuarded(name string, parse guardedParseFunc) http.HandlerF
 			}
 			// The heuristic is an order search too: label its latency and
 			// per-order cost mode="fallback", alongside the advisor's own
-			// exact/pruned series, so dashboards see the full mode split.
+			// bnb/beam series, so dashboards see the full mode split.
 			switch fr := resp.(type) {
 			case *AdviseResponse:
 				ml := obs.L("mode", advisor.ModeFallback)

@@ -387,16 +387,17 @@ func TestAdviseSearchMetricsExposed(t *testing.T) {
 
 	hits := reg.SumCounters("advisor_class_hits_total")
 	misses := reg.SumCounters("advisor_class_misses_total")
+	// Nothing is pruned in this scenario: the search covers all 4! orders.
 	if hits+misses != 24 {
-		t.Errorf("class hits %v + misses %v, want 4! = 24 candidates", hits, misses)
+		t.Errorf("class hits %v + misses %v, want 4! = 24 covered orders", hits, misses)
 	}
 	if hits == 0 {
 		t.Errorf("expected class hits on hydra's symmetric hierarchy, got 0")
 	}
-	// Class sharing happened, so every series is labeled mode="pruned" and
-	// the unlabeled series must not exist.
-	if v := reg.FindCounter("advisor_class_hits_total", obs.L("mode", "pruned")); v != hits {
-		t.Errorf("pruned-labeled hits %v, want all %v", v, hits)
+	// The branch-and-bound served it, so every series is labeled
+	// mode="bnb" and the unlabeled series must not exist.
+	if v := reg.FindCounter("advisor_class_hits_total", obs.L("mode", "bnb")); v != hits {
+		t.Errorf("bnb-labeled hits %v, want all %v", v, hits)
 	}
 	if v := reg.FindCounter("advisor_class_hits_total"); v != 0 {
 		t.Errorf("unlabeled class-hit counter exists: %v", v)
@@ -412,8 +413,8 @@ func TestAdviseSearchMetricsExposed(t *testing.T) {
 		"# TYPE advisor_class_hits_total counter",
 		"# TYPE advisor_class_misses_total counter",
 		"# TYPE advisor_search_seconds histogram",
-		`advisor_class_hits_total{mode="pruned"}`,
-		`advisor_search_seconds_count{mode="pruned"} 1`,
+		`advisor_class_hits_total{mode="bnb"}`,
+		`advisor_search_seconds_count{mode="bnb"} 1`,
 	} {
 		if !bytes.Contains(b, []byte(want)) {
 			t.Errorf("/metrics missing %q", want)

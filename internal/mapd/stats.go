@@ -13,7 +13,7 @@
 //     is answerable even after heavy eviction;
 //   - fixed-size histograms keyed by validated, bounded dimensions:
 //     hierarchy depth (≤ MaxDepth), collective (parse admits three), and
-//     search mode (exact/pruned/bnb/beam/fallback).
+//     search mode (bnb/beam/matrix/fallback).
 //
 // Everything is O(K) memory regardless of workload, which is what lets
 // GET /v1/stats and the /metrics publication stay safe against a hostile
@@ -213,7 +213,7 @@ func (st *workloadStats) observe(endpoint string, info *statInfo, hit bool, d ti
 }
 
 // observeSearch attributes one order search to its mode
-// (exact/pruned/bnb/beam/fallback).
+// (bnb/beam/matrix/fallback).
 func (st *workloadStats) observeSearch(mode string) {
 	if st == nil {
 		return
@@ -294,7 +294,7 @@ type StatsReport struct {
 	Depths      []DepthCount      `json:"depth_histogram"`
 	Collectives map[string]uint64 `json:"collectives"`
 	// SearchModes splits order searches into
-	// exact / pruned / bnb / beam / matrix / fallback.
+	// bnb / beam / matrix / fallback.
 	SearchModes map[string]uint64 `json:"search_modes"`
 	// Endpoints is the request mix by API endpoint (map, map_matrix,
 	// advise, select, metrics_order).

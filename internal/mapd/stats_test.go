@@ -166,9 +166,9 @@ func TestStatsEndpointBoundedCardinality(t *testing.T) {
 	}
 }
 
-// TestStatsSearchModeSplit drives the three search modes end to end: a
-// pruned advise, an exact (degenerate) one is skipped here, and the
-// breaker-open fallback; /v1/stats must attribute each.
+// TestStatsSearchModeSplit drives the served search modes end to end: a
+// branch-and-bound advise and the breaker-open fallback; /v1/stats must
+// attribute each.
 func TestStatsSearchModeSplit(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, ts := newTestServer(t, Config{
@@ -180,7 +180,7 @@ func TestStatsSearchModeSplit(t *testing.T) {
 	})
 
 	req := `{"machine":"hydra","nodes":4,"collective":"alltoall","comm_size":16}`
-	// One healthy evaluation first: hydra's symmetric hierarchy prunes.
+	// One healthy evaluation first.
 	if code, b := post(t, ts, "/v1/advise", req); code != http.StatusOK {
 		t.Fatalf("advise status %d, body %s", code, b)
 	}
@@ -207,8 +207,8 @@ func TestStatsSearchModeSplit(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.SearchModes["pruned"] < 1 {
-		t.Errorf("search modes %v missing the pruned search", rep.SearchModes)
+	if rep.SearchModes["bnb"] < 1 {
+		t.Errorf("search modes %v missing the bnb search", rep.SearchModes)
 	}
 	if rep.SearchModes["fallback"] != 1 {
 		t.Errorf("search modes %v, want exactly 1 fallback", rep.SearchModes)

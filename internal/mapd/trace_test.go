@@ -84,7 +84,7 @@ func keys(m map[string][]obs.Span) []string {
 
 // TestTraceCoversServingPipeline is the acceptance path: one request with
 // an injected traceparent yields a server-side trace whose spans cover
-// middleware → cache/singleflight → advisor chunk workers, all on the
+// middleware → cache/singleflight → advisor search, all on the
 // injected trace id, with the same id in the log output.
 func TestTraceCoversServingPipeline(t *testing.T) {
 	const upstream = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
@@ -113,7 +113,7 @@ func TestTraceCoversServingPipeline(t *testing.T) {
 
 	byName := spanNames(t, tracer,
 		"http /v1/advise", "cache.lookup", "singleflight", "evaluate",
-		"advisor.rank", "advisor.chunk")
+		"advisor.search")
 
 	// Everything rides one thread track named after the injected trace id.
 	tid := byName["http /v1/advise"][0].TID

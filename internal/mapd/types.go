@@ -63,8 +63,6 @@ type AdviseRequest struct {
 	// NICs per node (hydra models only; default 1).
 	NICs int `json:"nics,omitempty"`
 	// Depth is the cloud machine's hierarchy depth (6–12, default 10).
-	// Depths above the exact-search threshold are served by the bounded
-	// branch-and-bound / beam search.
 	Depth int `json:"depth,omitempty"`
 	// Collective: "alltoall", "allgather", or "allreduce".
 	Collective string `json:"collective"`
@@ -92,14 +90,14 @@ type AdvisePrediction struct {
 type AdviseResponse struct {
 	Machine   string `json:"machine"`
 	Hierarchy []int  `json:"hierarchy"`
-	// Evaluated counts the orders the answer accounts for: k! for the
-	// exact modes and a completed branch-and-bound (where pruned orders
-	// are accounted with proof), the covered orders for a beam answer,
-	// and the candidate-set size for degraded fallbacks.
+	// Evaluated counts the orders the answer accounts for: k! for a
+	// completed branch-and-bound (where pruned orders are accounted with
+	// proof), the covered orders for a beam answer, and the candidate-set
+	// size for degraded fallbacks.
 	Evaluated int `json:"evaluated"`
-	// SearchMode is how the ranking was computed: "exact" or "pruned"
-	// below the depth threshold, "bnb" (provably optimal) or "beam"
-	// (bounded gap) above it, "fallback" for degraded answers.
+	// SearchMode is how the ranking was computed: "bnb" (branch-and-bound,
+	// provably optimal) or "beam" (node budget spent, bounded gap) at
+	// every depth, "fallback" for degraded answers.
 	SearchMode string `json:"search_mode,omitempty"`
 	// OrdersEvaluated counts the model evaluations the search actually
 	// performed (equivalence classes predicted) — the honest work done,
@@ -112,9 +110,10 @@ type AdviseResponse struct {
 	// advisor circuit breaker was open; Seconds/Bandwidth are absent.
 	Degraded bool               `json:"degraded,omitempty"`
 	Best     []AdvisePrediction `json:"best"`
-	// Worst is the worst-ranked order the search evaluated (the global
-	// worst for exact modes; bnb/beam prune or drop costlier subtrees
-	// without fully evaluating them).
+	// Worst is the worst order the search evaluated, with the exhaustive
+	// ranking's lexicographic tie-break. bnb/beam prune or drop costlier
+	// subtrees without evaluating them, so it is the global worst only
+	// when nothing was pruned.
 	Worst AdvisePrediction `json:"worst"`
 }
 

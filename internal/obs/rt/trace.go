@@ -63,7 +63,9 @@ type Options struct {
 	SampleRatio float64
 	// Scope receives committed spans (default: a fresh obs.Scope).
 	Scope *obs.Scope
-	// Now is the clock (default time.Now). Tests inject a fake.
+	// Now is the clock (default time.Now). Tests inject a fake; it is
+	// called from every request goroutine, so it must be safe for
+	// concurrent use.
 	Now func() time.Time
 	// Rand yields randomness for ids and sampling decisions (default: a
 	// locked math/rand source seeded from the clock).

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,9 +13,15 @@ import (
 )
 
 // fakeClock yields strictly increasing timestamps one millisecond apart.
-type fakeClock struct{ t time.Time }
+// The tracer calls its clock from every request goroutine, so it locks.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
 
 func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.t = c.t.Add(time.Millisecond)
 	return c.t
 }

@@ -122,9 +122,10 @@ func KernelSuite() Suite {
 	return s
 }
 
-// OrderSearchSuite sweeps advisor.Rank over the scenario grid in both
-// search modes, single-threaded so the full/pruned ratio measures the
-// algorithm rather than the worker pool.
+// OrderSearchSuite sweeps the sequential advisor.Rank over the scenario
+// grid in both search modes (every order evaluated vs. one evaluation per
+// equivalence class), plus the branch-and-bound engine at deep
+// hierarchies.
 func OrderSearchSuite() Suite {
 	s := Suite{
 		Name:        "order_search",
@@ -160,7 +161,7 @@ func OrderSearchSuite() Suite {
 			F: func(b *B) {
 				ctx := context.Background()
 				for i := 0; i < b.N; i++ {
-					ranked, err := advisor.Rank(ctx, adv, nil, advisor.RankOptions{Workers: 1, NoPrune: noPrune})
+					ranked, err := advisor.Rank(ctx, adv, nil, advisor.RankOptions{NoPrune: noPrune})
 					if err != nil {
 						b.Fatalf("%v", err)
 					}
@@ -171,9 +172,9 @@ func OrderSearchSuite() Suite {
 			},
 		})
 	}
-	// Deep hierarchies: the bounded branch-and-bound engine over
-	// cluster.Cloud at the depths mapd serves beyond the exact
-	// threshold. Non-simultaneous scenarios prune to an exact bnb run
+	// Deep hierarchies: the branch-and-bound engine mapd serves every
+	// advise from, over cluster.Cloud at depths past the exhaustive
+	// ranking's reach. Non-simultaneous scenarios prune to an exact bnb run
 	// through depth 12; the simultaneous depth-12 case exhausts the
 	// node budget and degrades to beam, covering the fallback's cost.
 	deep := []struct {
