@@ -208,7 +208,7 @@ smoke-fleet:
 # BENCH_SUITES are the committed trajectory baselines the regression gate
 # compares against; BENCH_GIT/BENCH_TS stamp fresh records so trajectory
 # points are attributable (CI passes the workflow's SHA explicitly).
-BENCH_SUITES ?= kernels order_search procmap fleet
+BENCH_SUITES ?= kernels order_search procmap fleet sim
 BENCH_GIT    ?= $(shell git rev-parse --short HEAD 2>/dev/null)
 BENCH_TS     ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
 

@@ -197,6 +197,11 @@ func diffLoaded(w io.Writer, old, new_ *perf.Record, opts perf.DiffOptions) (boo
 	if err != nil {
 		return false, err
 	}
+	if m := perf.EnvMismatch(old, new_); m != "" {
+		// A warning, not a failure: the comparison still runs, but
+		// timings taken at different parallelism may not be comparable.
+		fmt.Fprintf(w, "WARNING: %s records differ in CPU parallelism (%s, baseline vs fresh); the timings below may not be comparable\n", old.Suite, m)
+	}
 	fmt.Fprint(w, d.Format(old, new_))
 	return len(d.Regressions()) > 0, nil
 }

@@ -60,6 +60,46 @@ func TestDiffRecordsGate(t *testing.T) {
 	}
 }
 
+// TestDiffWarnsOnParallelismMismatch checks that diff and gate warn, but
+// do not fail, when the two records ran at different GOMAXPROCS or
+// num_cpu, and that a baseline without GOMAXPROCS counts as unknown.
+func TestDiffWarnsOnParallelismMismatch(t *testing.T) {
+	rec := func(procs, cpus int) *perf.Record {
+		r := perf.NewRecord("kernels", "abc1234", "2026-08-08T00:00:00Z")
+		r.GOMAXPROCS, r.NumCPU = procs, cpus
+		r.Results = resultList{
+			{Name: "Kernel/alltoall", NsPerOp: 100, Samples: []float64{99, 100, 100, 101, 100}},
+		}.asPerf()
+		return r
+	}
+	for _, tc := range []struct {
+		name     string
+		old, new *perf.Record
+		want     string // "" = no warning
+	}{
+		{"same", rec(2, 2), rec(2, 2), ""},
+		{"gomaxprocs", rec(1, 2), rec(2, 2), "gomaxprocs 1 vs 2"},
+		{"num_cpu", rec(2, 2), rec(2, 4), "num_cpu 2 vs 4"},
+		{"unknown baseline", rec(0, 1), rec(2, 2), "gomaxprocs unknown vs 2, num_cpu 1 vs 2"},
+	} {
+		var out bytes.Buffer
+		regressed, err := diffLoaded(&out, tc.old, tc.new, perf.DiffOptions{Threshold: 0.20})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if regressed {
+			t.Fatalf("%s: a parallelism mismatch alone failed the gate:\n%s", tc.name, out.String())
+		}
+		warned := strings.Contains(out.String(), "WARNING")
+		if tc.want == "" && warned {
+			t.Fatalf("%s: unexpected warning:\n%s", tc.name, out.String())
+		}
+		if tc.want != "" && (!warned || !strings.Contains(out.String(), tc.want)) {
+			t.Fatalf("%s: want a warning naming %q:\n%s", tc.name, tc.want, out.String())
+		}
+	}
+}
+
 // results is a local alias so the test can build []perf.Result literals
 // tersely.
 type Result struct {

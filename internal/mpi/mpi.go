@@ -78,6 +78,7 @@ type World struct {
 
 	mu      sync.Mutex
 	mail    []map[matchKey]*matchQueue // per destination rank
+	spare   []*matchQueue              // drained queues, reused by queueFor
 	commSeq int
 	splits  map[splitKey]*splitState
 
@@ -99,6 +100,10 @@ type World struct {
 	obsBytesTotal *obs.Counter   // nil when cfg.Obs is nil
 	obsLevelBytes []*obs.Counter // by FirstDiffLevel index; [depth] = same core
 	obsMsgs       *obs.Counter
+
+	// sent is the request every eager send returns: it is complete when
+	// issued, so it never blocks and one instance serves them all.
+	sent *Request
 }
 
 // nodeOf returns the Perfetto pid for a core: its outermost-level domain.
@@ -113,21 +118,18 @@ type matchKey struct {
 // channel at one destination; at most one of the two lists is non-empty.
 type matchQueue struct {
 	sends []*sendRec
-	recvs []*recvRec
+	recvs []*Request
 }
 
+// sendRec is an unmatched send. An eager one has its transfer in flight
+// already; a rendezvous one waits for the receiver to start it, and its
+// sender and receiver then both complete when the transfer does.
 type sendRec struct {
 	buf       Buf
 	srcCore   int
-	dstCore   int
 	started   bool           // transfer already launched (eager)
 	transfer  *sim.Condition // completion of the data movement (set when started)
-	senderFin *sim.Condition // fired when the sender may complete
-}
-
-type recvRec struct {
-	fin *sim.Condition // fired when data has arrived
-	buf *Buf           // destination for the received payload
+	senderFin *sim.Condition // rendezvous: fired when the transfer completes
 }
 
 // Rank is the per-process handle passed to the rank body.
@@ -173,6 +175,7 @@ func NewWorld(engine *sim.Engine, platform *netmodel.Platform, binding []int, cf
 		w.straggle[i] = 1
 	}
 	w.shrinks = make(map[shrinkKey]*shrinkState)
+	w.sent = &Request{fin: engine.FiredCondition(), op: "Send"}
 	hier := platform.Hierarchy()
 	w.coresPerNode = platform.NumCores() / hier.Level(0).Arity
 	if sc := cfg.Obs; sc != nil {
@@ -284,12 +287,12 @@ func (r *Rank) Compute(flops, bytes float64) {
 // describe it for deadlock diagnostics (static strings and ints only, so
 // labelling costs no allocation on the hot path).
 type Request struct {
-	fin  *sim.Condition
-	buf  *Buf // receive destination (nil for sends)
-	op   string
-	peer int // world rank of the remote side
-	tag  int64
-	chk  bool // fault injection active: Wait must check for a failed condition
+	fin     *sim.Condition
+	payload Buf // the received message; set before fin fires
+	op      string
+	peer    int // world rank of the remote side
+	tag     int64
+	chk     bool // fault injection active: Wait must check for a failed condition
 }
 
 // Wait blocks the rank until the operation completes; for receives it
@@ -303,10 +306,7 @@ func (req *Request) Wait(r *Rank) Buf {
 			panic(sim.Abort{Err: err})
 		}
 	}
-	if req.buf != nil {
-		return *req.buf
-	}
-	return Buf{}
+	return req.payload
 }
 
 // WaitAll completes all requests.
@@ -322,10 +322,38 @@ func (w *World) queueFor(dst, src int, tag int64) *matchQueue {
 	k := matchKey{src: src, tag: tag}
 	q := w.mail[dst][k]
 	if q == nil {
-		q = &matchQueue{}
+		if n := len(w.spare); n > 0 {
+			q = w.spare[n-1]
+			w.spare = w.spare[:n-1]
+		} else {
+			q = &matchQueue{}
+		}
 		w.mail[dst][k] = q
 	}
 	return q
+}
+
+// dropIfDrained removes the match queue of dst for (src, tag) from mail
+// once it holds no pending operation, so mail keeps only channels with
+// unmatched sends or receives instead of every channel ever used. The
+// queue goes to the spare list with its backing arrays, so the number of
+// queues ever allocated is the peak number pending at once. Callers hold
+// w.mu.
+func (w *World) dropIfDrained(dst, src int, tag int64, q *matchQueue) {
+	if len(q.sends) == 0 && len(q.recvs) == 0 {
+		delete(w.mail[dst], matchKey{src: src, tag: tag})
+		w.spare = append(w.spare, q)
+	}
+}
+
+// popFront removes the first element of a match list in place, keeping
+// the backing array for the queue's next use.
+func popFront[T any](s []T) (T, []T) {
+	x := s[0]
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	return x, s[:n]
 }
 
 // isend posts a message from world rank src to world rank dst.
@@ -352,73 +380,66 @@ func (w *World) isend(src, dst int, tag int64, buf Buf) *Request {
 	if len(q.recvs) > 0 {
 		// A receive is already posted: start the transfer now. Rendezvous
 		// pays no extra handshake because the receiver was ready.
-		rv := q.recvs[0]
-		q.recvs = q.recvs[1:]
+		var rv *Request
+		rv, q.recvs = popFront(q.recvs)
+		w.dropIfDrained(dst, src, tag, q)
 		w.mu.Unlock()
-		payload := buf.Clone()
-		c := w.platform.StartTransferStretched(srcCore, dstCore, float64(buf.Bytes), 0, stretch)
-		c.OnFire(func() {
-			*rv.buf = payload
-			rv.fin.FireLocked()
-		})
+		// The transfer fires the receive's own condition, and the receiver
+		// reads the payload only once it has fired.
+		rv.payload = buf.Clone()
+		w.platform.StartTransferStretched(rv.fin, srcCore, dstCore, float64(buf.Bytes), 0, stretch)
 		if eager {
 			// Eager sends complete locally right away.
-			fin := w.engine.NewCondition()
-			fin.Fire()
-			return &Request{fin: fin, op: "Send", peer: dst, tag: tag, chk: w.faulty}
+			return w.sent
 		}
-		return &Request{fin: c, op: "Send", peer: dst, tag: tag, chk: w.faulty}
+		return &Request{fin: rv.fin, op: "Send", peer: dst, tag: tag, chk: w.faulty}
 	}
 	// No receive yet: enqueue.
-	rec := &sendRec{buf: buf.Clone(), srcCore: srcCore, dstCore: dstCore}
-	fin := w.engine.NewCondition()
-	rec.senderFin = fin
+	rec := &sendRec{buf: buf.Clone(), srcCore: srcCore}
 	if eager {
 		// Launch the transfer immediately; the sender is done already.
 		// The transfer must be attached before the record becomes visible.
 		rec.started = true
-		rec.transfer = w.platform.StartTransferStretched(srcCore, dstCore, float64(buf.Bytes), 0, stretch)
+		rec.transfer = w.engine.NewCondition()
+		w.platform.StartTransferStretched(rec.transfer, srcCore, dstCore, float64(buf.Bytes), 0, stretch)
+		q.sends = append(q.sends, rec)
+		w.mu.Unlock()
+		return w.sent
 	}
+	rec.senderFin = w.engine.NewCondition()
 	q.sends = append(q.sends, rec)
 	w.mu.Unlock()
-	if eager {
-		fin.Fire()
-	}
-	return &Request{fin: fin, op: "Send", peer: dst, tag: tag, chk: w.faulty}
+	return &Request{fin: rec.senderFin, op: "Send", peer: dst, tag: tag, chk: w.faulty}
 }
 
 // irecv posts a receive at world rank dst for a message from src.
 func (w *World) irecv(dst, src int, tag int64) *Request {
-	fin := w.engine.NewCondition()
-	out := new(Buf)
-	dstCore := w.binding[dst]
+	req := &Request{op: "Recv", peer: src, tag: tag, chk: w.faulty}
 
 	w.mu.Lock()
 	stretch := w.stretchLocked(src, dst)
 	q := w.queueFor(dst, src, tag)
 	if len(q.sends) > 0 {
-		rec := q.sends[0]
-		q.sends = q.sends[1:]
+		var rec *sendRec
+		rec, q.sends = popFront(q.sends)
+		w.dropIfDrained(dst, src, tag, q)
 		w.mu.Unlock()
+		req.payload = rec.buf
 		if rec.started {
-			// Eager message already in flight (or arrived).
-			rec.transfer.OnFire(func() {
-				*out = rec.buf
-				fin.FireLocked()
-			})
+			// Eager message already in flight (or arrived): its transfer
+			// completes the receive.
+			req.fin = rec.transfer
 		} else {
 			// Rendezvous: the receiver triggers the transfer and pays the
-			// handshake round trip on top of the path latency.
-			c := w.platform.StartTransferStretched(rec.srcCore, dstCore, float64(rec.buf.Bytes), 1, stretch)
-			c.OnFire(func() {
-				*out = rec.buf
-				fin.FireLocked()
-				rec.senderFin.FireLocked()
-			})
+			// handshake round trip on top of the path latency; sender and
+			// receiver complete together with it.
+			req.fin = rec.senderFin
+			w.platform.StartTransferStretched(req.fin, rec.srcCore, w.binding[dst], float64(rec.buf.Bytes), 1, stretch)
 		}
-		return &Request{fin: fin, buf: out, op: "Recv", peer: src, tag: tag, chk: w.faulty}
+		return req
 	}
-	q.recvs = append(q.recvs, &recvRec{fin: fin, buf: out})
+	req.fin = w.engine.NewCondition()
+	q.recvs = append(q.recvs, req)
 	w.mu.Unlock()
-	return &Request{fin: fin, buf: out, op: "Recv", peer: src, tag: tag, chk: w.faulty}
+	return req
 }

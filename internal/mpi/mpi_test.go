@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/netmodel"
+	"repro/internal/sim"
 )
 
 // testSpec16 is the ⟦2,2,4⟧ machine of the netmodel tests.
@@ -550,6 +551,40 @@ func BenchmarkAlltoall16(b *testing.B) {
 		})
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// A drained match queue is deleted, so once a run completes no
+// destination keeps a queue for any (src, tag) channel it used — both
+// eager and rendezvous messages, posted before and after the receive.
+func TestMailDrainsAfterRun(t *testing.T) {
+	engine := sim.NewEngine()
+	platform := netmodel.NewPlatform(engine, testSpec16())
+	w, err := NewWorld(engine, platform, identityBinding(16), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Spawn(func(r *Rank) {
+		world := r.World()
+		sub := world.Split(r, r.ID()%2, r.ID())
+		for _, bytes := range []int64{1 << 10, 1 << 20} {
+			send := make([]Buf, sub.Size())
+			for i := range send {
+				send[i] = BytesBuf(bytes)
+			}
+			sub.Alltoall(r, send)
+			world.Allreduce(r, BytesBuf(bytes), OpSum)
+			world.Allgather(r, BytesBuf(bytes/16))
+		}
+		world.Barrier(r)
+	})
+	if err := engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for dst, q := range w.mail {
+		if len(q) != 0 {
+			t.Errorf("rank %d still holds %d match queues after the run", dst, len(q))
 		}
 	}
 }

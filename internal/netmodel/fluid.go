@@ -131,14 +131,19 @@ const recomputeQuantum = 250e-9
 // Call from process context or before Run. Zero-byte transfers complete
 // after the latency alone.
 func (f *Fluid) StartTransfer(path []*Link, bytes, latency float64) *sim.Condition {
+	done := f.engine.NewCondition()
+	f.startTransfer(done, path, bytes, latency)
+	return done
+}
+
+// startTransfer is StartTransfer firing the given condition.
+func (f *Fluid) startTransfer(done *sim.Condition, path []*Link, bytes, latency float64) {
 	if bytes < 0 || latency < 0 {
 		panic("netmodel: negative transfer")
 	}
-	done := f.engine.NewCondition()
 	f.engine.At(f.engine.Now()+latency, func() {
 		f.addFlowLocked(path, bytes, done)
 	})
-	return done
 }
 
 // Transfer performs a blocking transfer from the calling process.

@@ -5,6 +5,7 @@ package netmodel
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -100,6 +101,21 @@ type Platform struct {
 
 	// suffix[l] = number of cores per domain at level l.
 	suffix []int
+
+	// paths memoizes CommPath. A path depends on its two cores only
+	// through their innermost domains (apart from the same-core case), so
+	// paths[src] is the row of source domain src, indexed by destination
+	// domain. Rows and entries are filled on first use by whichever rank
+	// goroutine asks first; the atomics make that safe, and racing fills
+	// store equal values. DegradeLevel scales link capacities in place, so
+	// a memoized path never goes stale.
+	paths []atomic.Pointer[[]atomic.Pointer[commPath]]
+}
+
+// commPath is one memoized CommPath result.
+type commPath struct {
+	links   []*Link
+	latency float64
 }
 
 // NewPlatform builds the link graph for the spec on the engine.
@@ -158,6 +174,7 @@ func NewPlatform(engine *sim.Engine, spec Spec) *Platform {
 	if spec.FabricBandwidth > 0 {
 		p.fabric = NewLink("fabric", spec.FabricBandwidth)
 	}
+	p.paths = make([]atomic.Pointer[[]atomic.Pointer[commPath]], total/p.suffix[k-1])
 	return p
 }
 
@@ -181,8 +198,32 @@ func (p *Platform) domain(core, l int) int { return core / p.suffix[l+1] }
 func (p *Platform) innermostDomainLevel() int { return p.hier.Depth() - 2 }
 
 // CommPath returns the links a message from core a to core b traverses and
-// its latency. Same-core transfers have an empty path (pure latency).
+// its latency. Same-core transfers have an empty path (pure latency). The
+// returned slice is shared between calls and must not be modified. Safe
+// for concurrent use.
 func (p *Platform) CommPath(a, b int) ([]*Link, float64) {
+	if a == b {
+		return nil, p.spec.Levels[p.hier.Depth()-1].Latency
+	}
+	inner := p.innermostDomainLevel()
+	src, dst := p.domain(a, inner), p.domain(b, inner)
+	row := p.paths[src].Load()
+	if row == nil {
+		fresh := make([]atomic.Pointer[commPath], len(p.paths))
+		p.paths[src].CompareAndSwap(nil, &fresh)
+		row = p.paths[src].Load()
+	}
+	e := (*row)[dst].Load()
+	if e == nil {
+		links, lat := p.computePath(a, b)
+		e = &commPath{links: links, latency: lat}
+		(*row)[dst].Store(e)
+	}
+	return e.links, e.latency
+}
+
+// computePath builds the a→b path of CommPath from the link graph.
+func (p *Platform) computePath(a, b int) ([]*Link, float64) {
 	k := p.hier.Depth()
 	d := p.hier.FirstDiffLevel(a, b)
 	if d == k {
@@ -234,23 +275,19 @@ func (p *Platform) StartTransfer(a, b int, bytes float64) *sim.Condition {
 	return p.fluid.StartTransfer(path, bytes, lat)
 }
 
-// StartTransferExtra is StartTransfer with additional fixed latency, used
-// by the MPI layer to charge rendezvous handshakes (the path latency is
-// multiplied by 1+extraRTT round trips).
-func (p *Platform) StartTransferExtra(a, b int, bytes float64, extraRTT int) *sim.Condition {
-	return p.StartTransferStretched(a, b, bytes, extraRTT, 1)
-}
-
-// StartTransferStretched is StartTransferExtra with the path latency
-// additionally multiplied by stretch (>= 1). Fault injection uses it to
-// model a straggling endpoint: the wire stays at full bandwidth, but every
-// message touching the straggler pays its slowdown in latency.
-func (p *Platform) StartTransferStretched(a, b int, bytes float64, extraRTT int, stretch float64) *sim.Condition {
+// StartTransferStretched begins an a→b message like StartTransfer, but
+// fires the caller's done condition on completion, so a message needs no
+// condition of its own. The path latency is multiplied by 1+2·extraRTT,
+// which the MPI layer uses to charge rendezvous handshakes, and by stretch
+// (>= 1), which fault injection uses to model a straggling endpoint: the
+// wire stays at full bandwidth, but every message touching the straggler
+// pays its slowdown in latency. Call from process context.
+func (p *Platform) StartTransferStretched(done *sim.Condition, a, b int, bytes float64, extraRTT int, stretch float64) {
 	path, lat := p.CommPath(a, b)
 	if stretch < 1 {
 		stretch = 1
 	}
-	return p.fluid.StartTransfer(path, bytes, lat*float64(1+2*extraRTT)*stretch)
+	p.fluid.startTransfer(done, path, bytes, lat*float64(1+2*extraRTT)*stretch)
 }
 
 // DegradeLevel multiplies the capacity of every finite link at the given

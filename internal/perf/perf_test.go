@@ -109,7 +109,8 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Suite != "test" || got.GitSHA != "abc123" || got.Timestamp != "2026-08-08T00:00:00Z" {
+	if got.Suite != "test" || got.GitSHA != "abc123" || got.Timestamp != "2026-08-08T00:00:00Z" ||
+		got.GOMAXPROCS != runtime.GOMAXPROCS(0) {
 		t.Fatalf("metadata round trip: %+v", got)
 	}
 	// WriteFile sorts.

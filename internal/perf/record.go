@@ -42,6 +42,9 @@ type Record struct {
 	GOARCH    string `json:"goarch"`
 	CPU       string `json:"cpu,omitempty"`
 	NumCPU    int    `json:"num_cpu"`
+	// GOMAXPROCS is the scheduler's parallelism during the run; 0 in a
+	// record written before the field existed, meaning unknown.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 
 	// Reps is how many independent samples each benchmark collected;
 	// BenchTime the per-sample target duration.
@@ -89,16 +92,38 @@ type Symbol struct {
 // NewRecord returns a record stamped with the current environment.
 func NewRecord(suite, gitSHA, timestamp string) *Record {
 	return &Record{
-		Schema:    SchemaVersion,
-		Suite:     suite,
-		GitSHA:    gitSHA,
-		Timestamp: timestamp,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		CPU:       cpuModel(),
-		NumCPU:    runtime.NumCPU(),
+		Schema:     SchemaVersion,
+		Suite:      suite,
+		GitSHA:     gitSHA,
+		Timestamp:  timestamp,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPU:        cpuModel(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
+}
+
+// EnvMismatch describes how the environments of two records differ in
+// CPU parallelism — GOMAXPROCS or num_cpu — or returns "" when they
+// match. A record without GOMAXPROCS counts as unknown, which never
+// matches: its timings cannot be trusted to compare.
+func EnvMismatch(old, new_ *Record) string {
+	var diffs []string
+	procs := func(r *Record) string {
+		if r.GOMAXPROCS == 0 {
+			return "unknown"
+		}
+		return fmt.Sprint(r.GOMAXPROCS)
+	}
+	if old.GOMAXPROCS == 0 || new_.GOMAXPROCS == 0 || old.GOMAXPROCS != new_.GOMAXPROCS {
+		diffs = append(diffs, fmt.Sprintf("gomaxprocs %s vs %s", procs(old), procs(new_)))
+	}
+	if old.NumCPU != new_.NumCPU {
+		diffs = append(diffs, fmt.Sprintf("num_cpu %d vs %d", old.NumCPU, new_.NumCPU))
+	}
+	return strings.Join(diffs, ", ")
 }
 
 // cpuModel best-effort reads the CPU model name for record context.

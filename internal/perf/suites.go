@@ -276,6 +276,7 @@ func Suites() []Suite {
 		OrderSearchSuite(),
 		ProcmapSuite(),
 		ServingSuite(),
+		SimSuite(),
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	return all

@@ -3,15 +3,20 @@
 // process goroutines that block on simulated operations and are resumed by
 // the scheduler when their operation completes.
 //
-// The engine is conservative and deterministic in its results: events fire
-// in (time, sequence) order, and although processes woken at the same
-// virtual instant execute concurrently as goroutines, all simulation state
-// is mutated under the engine lock and operation completion times are pure
-// functions of the set of outstanding operations.
+// Events fire in (time, sequence) order and all simulation state is
+// mutated under the engine lock, but the engine is not deterministic in
+// general. Processes woken at the same virtual instant run concurrently as
+// goroutines, so the sequence numbers of the events they schedule follow
+// the goroutines' interleaving, and that order reaches the results through
+// the fluid network model (its flow order, rate-recompute quantum and
+// completion slack). Comparing two runs of the 288-point Hydra ⟦4,2,2,8⟧
+// paper grid, 5–7 of the 288 bandwidths differed (by at most 0.5%) at
+// GOMAXPROCS=1 and 178–186 differed (by up to 17.5%) at GOMAXPROCS=2.
+// Small scenarios, such as the 4-rank all-to-all of TestGoldenDeterminism
+// in internal/obs, repeat exactly.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -43,26 +48,58 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap of events by (at, seq). It holds events
+// by value, so scheduling one allocates nothing once the slice has grown.
+// (at, seq) is unique per event, so the pop order is the total order of
+// the keys whatever the heap layout.
+type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
 }
-func (h eventHeap) peek() *event { return h[0] }
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	ev := q[0]
+	q[0] = q[n]
+	q[n] = event{} // drop the callback reference
+	q = q[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q.less(r, child) {
+			child = r
+		}
+		if !q.less(child, i) {
+			break
+		}
+		q[i], q[child] = q[child], q[i]
+		i = child
+	}
+	*h = q
+	return ev
+}
+
+func (h eventHeap) peek() *event { return &h[0] }
 
 // Observer receives engine lifecycle callbacks for observability. Every
 // method is invoked with the engine lock held: implementations must be
@@ -98,6 +135,9 @@ type Engine struct {
 	// deadlockNote is extra context (e.g. which ranks were lost to fault
 	// injection) appended to a deadlock report.
 	deadlockNote string
+
+	// fired is the shared already-fired condition of FiredCondition.
+	fired *Condition
 }
 
 // SetDeadlockNoteLocked records a note appended to any subsequent deadlock
@@ -117,6 +157,7 @@ func (e *Engine) SetObserver(o Observer) {
 func NewEngine() *Engine {
 	e := &Engine{}
 	e.cond = sync.NewCond(&e.mu)
+	e.fired = &Condition{engine: e, fired: true}
 	return e
 }
 
@@ -143,7 +184,7 @@ func (e *Engine) atLocked(t float64, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // AtLocked schedules fn at time t without acquiring the engine lock. It
@@ -339,6 +380,12 @@ type Condition struct {
 // NewCondition returns a one-shot condition on the engine.
 func (e *Engine) NewCondition() *Condition { return &Condition{engine: e} }
 
+// FiredCondition returns the engine's one condition that has already
+// fired, for operations complete at the moment they are issued. It is
+// shared: firing or failing it again is a no-op, Await returns at once
+// and Err is nil.
+func (e *Engine) FiredCondition() *Condition { return e.fired }
+
 // FireLocked fires the condition; the engine lock must be held. Chained
 // callbacks run immediately (still under the lock), then all waiting
 // processes are released at the current virtual time.
@@ -486,7 +533,7 @@ func (e *Engine) Run() error {
 		e.now = next
 		fired := 0
 		for len(e.events) > 0 && e.events.peek().at == next {
-			ev := heap.Pop(&e.events).(*event)
+			ev := e.events.pop()
 			ev.fn()
 			fired++
 		}

@@ -75,6 +75,47 @@ func TestEventsFireInOrder(t *testing.T) {
 	}
 }
 
+// Many events with tied times, some scheduled from inside callbacks,
+// fire in (time, scheduling order) — the heap's only contract.
+func TestEventsFireInOrderAtScale(t *testing.T) {
+	e := NewEngine()
+	type fired struct {
+		at  float64
+		seq int
+	}
+	var got []fired
+	seq := 0
+	x := uint32(7)
+	var schedule func(t float64, depth int)
+	schedule = func(t float64, depth int) {
+		seq++
+		id := seq
+		e.atLocked(t, func() {
+			got = append(got, fired{e.now, id})
+			if depth < 2 {
+				x = x*1664525 + 1013904223
+				schedule(e.now+float64(x%5), depth+1)
+			}
+		})
+	}
+	for i := 0; i < 400; i++ {
+		x = x*1664525 + 1013904223
+		schedule(float64(x%50), 0)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1200 {
+		t.Fatalf("fired %d events, want 1200", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		a, b := got[i-1], got[i]
+		if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
+			t.Fatalf("event %d fired at %v (seq %d) after %v (seq %d)", i, b.at, b.seq, a.at, a.seq)
+		}
+	}
+}
+
 func TestConditionFireBeforeAwait(t *testing.T) {
 	e := NewEngine()
 	c := e.NewCondition()

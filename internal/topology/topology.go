@@ -150,7 +150,13 @@ func MustParse(s string) Hierarchy {
 func (h Hierarchy) Depth() int { return len(h.levels) }
 
 // Size returns the total number of cores (leaf components) enumerated.
-func (h Hierarchy) Size() int { return mixedradix.Size(h.Arities()) }
+func (h Hierarchy) Size() int {
+	n := 1
+	for _, l := range h.levels {
+		n *= l.Arity
+	}
+	return n
+}
 
 // Arities returns a copy of the level arities, outermost first. This is the
 // mixed-radix base of the paper.
@@ -210,12 +216,12 @@ func (h Hierarchy) FirstDiffLevel(a, b int) int {
 	if a == b {
 		return h.Depth()
 	}
-	ar := h.Arities()
 	// Walk from the outermost level: the leading mixed-radix digits of a and
-	// b are their quotients by the size of the suffix.
+	// b are their quotients by the size of the suffix. The walk reads the
+	// levels in place, so it allocates nothing.
 	suffix := h.Size()
-	for i := 0; i < len(ar); i++ {
-		suffix /= ar[i]
+	for i, l := range h.levels {
+		suffix /= l.Arity
 		if a/suffix != b/suffix {
 			return i
 		}

@@ -175,6 +175,26 @@ func TestFirstDiffLevelProperty(t *testing.T) {
 	}
 }
 
+// The §3.1 digit walk runs once per simulated message and per ranked
+// order, so the relative-position queries must not allocate.
+func TestRelativePositionAllocsFree(t *testing.T) {
+	h := MustNew(4, 2, 2, 8)
+	n := h.Size()
+	var sink int
+	for name, f := range map[string]func(){
+		"FirstDiffLevel": func() { sink += h.FirstDiffLevel(3, n-5) },
+		"CrossCost":      func() { sink += h.CrossCost(3, n-5) },
+		"Size":           func() { sink += h.Size() },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, allocs)
+		}
+	}
+	if sink == 0 {
+		t.Fatal("queries returned nothing")
+	}
+}
+
 func TestSplitLevel(t *testing.T) {
 	// Hydra: each 16-core socket faked as 2 groups of 8 (§4, machine descr.)
 	h := MustNew(16, 2, 16)
