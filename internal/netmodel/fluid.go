@@ -30,10 +30,10 @@ type Link struct {
 	remCap  float64
 	nActive int
 	fixed   bool
-	listed  bool
 
 	flows []*Flow // active flows, compacted lazily
 	live  int     // number of non-completed flows in the slice
+	pos   int     // index in Fluid.links while the link is listed there
 }
 
 // NewLink returns a link with the given capacity (0 = unlimited).
@@ -78,8 +78,11 @@ func (f *Flow) Done() *sim.Condition { return f.done }
 // Fluid is the set of active flows over a shared engine, with max-min fair
 // rate allocation recomputed whenever the flow set changes.
 type Fluid struct {
-	engine     *sim.Engine
-	flows      []*Flow
+	engine *sim.Engine
+	flows  []*Flow
+	// links is the set of finite links that carry at least one flow, kept
+	// up to date as flows are added and retired.
+	links      []*Link
 	lastSettle float64
 	gen        uint64 // invalidates stale completion events
 	dirty      bool   // a recompute event is pending
@@ -87,8 +90,8 @@ type Fluid struct {
 	lastRecompute   float64
 	deferredPending bool
 
-	scratchLinks []*Link
-	scratchDone  []*Flow
+	scratchBottlenecks []*Link
+	scratchDone        []*Flow
 
 	// NoContention disables bandwidth sharing: every flow runs at the full
 	// capacity of its narrowest link regardless of other traffic. This is
@@ -174,6 +177,10 @@ func (f *Fluid) addFlowLocked(path []*Link, bytes float64, done *sim.Condition) 
 	for _, l := range path {
 		l.flows = append(l.flows, fl)
 		l.live++
+		if l.live == 1 && l.Capacity > 0 {
+			l.pos = len(f.links)
+			f.links = append(f.links, l)
+		}
 	}
 	f.markDirtyLocked()
 }
@@ -240,6 +247,12 @@ func (f *Fluid) retire(fl *Flow) {
 	f.flows = f.flows[:last]
 	for _, l := range fl.links {
 		l.live--
+		if l.live == 0 && l.Capacity > 0 {
+			last := f.links[len(f.links)-1]
+			f.links[l.pos] = last
+			last.pos = l.pos
+			f.links = f.links[:len(f.links)-1]
+		}
 		l.compact()
 	}
 }
@@ -276,27 +289,18 @@ func (f *Fluid) recomputeLocked() {
 		f.recomputeNoContentionLocked()
 		return
 	}
-	// Collect the finite links touched by active flows and reset scratch.
-	links := f.scratchLinks[:0]
 	for _, fl := range f.flows {
 		fl.rateFixed = false
 		fl.rate = 0
-		for _, l := range fl.links {
-			if l.Capacity <= 0 {
-				continue // unlimited
-			}
-			if !l.listed {
-				l.remCap = l.Capacity
-				l.fixed = false
-				l.listed = true
-				l.nActive = 0
-				links = append(links, l)
-			}
-			l.nActive++
-		}
+	}
+	links := f.links
+	for _, l := range links {
+		l.remCap = l.Capacity
+		l.fixed = false
+		l.nActive = l.live
 	}
 	unfixedFlows := len(f.flows)
-	var bottlenecks []*Link
+	bottlenecks := f.scratchBottlenecks
 	for unfixedFlows > 0 {
 		// Find the bottleneck links: minimal fair share. All links tied at
 		// the minimum are bottlenecks simultaneously and are fixed in one
@@ -356,12 +360,7 @@ func (f *Fluid) recomputeLocked() {
 			bottleneck.fixed = true
 		}
 	}
-	// Reset link scratch flags for the next recompute.
-	for _, l := range links {
-		l.nActive = 0
-		l.listed = false
-	}
-	f.scratchLinks = links[:0]
+	f.scratchBottlenecks = bottlenecks[:0]
 	f.scheduleNextLocked()
 }
 

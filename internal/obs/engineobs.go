@@ -2,7 +2,9 @@
 // registry: virtual-time event accounting plus the wall-clock engine
 // health metrics (events per wall second, goroutine wake latency). Wall
 // metrics carry "wall" in their names so deterministic consumers (golden
-// tests, diffable artifacts) can filter them.
+// tests, diffable artifacts) can filter them. The engine runs one process
+// at a time, so a wake latency includes the time the processes queued
+// ahead of the woken one run.
 
 package obs
 

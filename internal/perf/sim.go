@@ -1,7 +1,9 @@
 // The sim suite: one bench.Measure — the MPI runtime, the fluid network
 // model and the event engine together — per row, at the Hydra ⟦4,2,2,8⟧
 // shape and message size of the paper-grid workload, so a change to the
-// simulated message path has a layer-level before/after record.
+// simulated message path has a layer-level before/after record. The
+// allgather rows at communicator size 64 are the paper-grid scenario that
+// costs the most simulation time.
 
 package perf
 
@@ -25,8 +27,11 @@ func SimSuite() Suite {
 	}
 	spec := cluster.Hydra(4, 1)
 	sigma := cluster.HydraSlurmDefaultOrder()
-	const comm = 16
-	for _, coll := range []bench.Collective{bench.Alltoall, bench.Allreduce} {
+	for _, row := range []struct {
+		coll bench.Collective
+		comm int
+	}{{bench.Alltoall, 16}, {bench.Allreduce, 16}, {bench.Allgather, 64}} {
+		coll, comm := row.coll, row.comm
 		cfg := bench.Config{
 			Spec:      spec,
 			Hierarchy: spec.Hierarchy(),

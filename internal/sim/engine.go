@@ -3,17 +3,19 @@
 // process goroutines that block on simulated operations and are resumed by
 // the scheduler when their operation completes.
 //
-// Events fire in (time, sequence) order and all simulation state is
-// mutated under the engine lock, but the engine is not deterministic in
-// general. Processes woken at the same virtual instant run concurrently as
-// goroutines, so the sequence numbers of the events they schedule follow
-// the goroutines' interleaving, and that order reaches the results through
-// the fluid network model (its flow order, rate-recompute quantum and
-// completion slack). Comparing two runs of the 288-point Hydra ⟦4,2,2,8⟧
-// paper grid, 5–7 of the 288 bandwidths differed (by at most 0.5%) at
-// GOMAXPROCS=1 and 178–186 differed (by up to 17.5%) at GOMAXPROCS=2.
-// Small scenarios, such as the 4-rank all-to-all of TestGoldenDeterminism
-// in internal/obs, repeat exactly.
+// Exactly one process runs at a time. Events fire in (time, sequence)
+// order, and woken processes resume one after another in a fixed order
+// (see Engine), so a run is a pure function of its inputs: the same
+// simulation gives bit-identical results on every run and at every
+// GOMAXPROCS. The 288-point Hydra ⟦4,2,2,8⟧ paper grid repeats bit for
+// bit across two runs at GOMAXPROCS=1 and two at GOMAXPROCS=2. The resume
+// order is the one the Go runtime gave the earlier engine, whose woken
+// processes ran concurrently, at GOMAXPROCS=1, so the grid stays on that
+// engine's single-CPU values: against two such runs it differs on 4 and 7
+// of the 288 bandwidths (by at most 0.05% and 0.58%), while those two
+// runs differed from each other on 5 (by at most 0.59%). At GOMAXPROCS=2
+// the earlier engine's grid differed from this one on 168 points, by up
+// to 11.3%.
 package sim
 
 import (
@@ -114,23 +116,55 @@ type Observer interface {
 	OnBlock(proc string, now float64)
 	// OnWake is called when a parked process resumes. wallLatency is the
 	// wall-clock delay between the waking event and the goroutine actually
-	// resuming (0 when unknown, e.g. the initial release at time 0).
+	// resuming, which includes the turns of the processes ahead of it in
+	// the run queue (0 when unknown, e.g. the initial release at time 0).
 	OnWake(proc string, now float64, wallLatency float64)
 }
 
 // Engine is a discrete-event simulation. Create with NewEngine, add
 // processes with Spawn, then call Run.
+//
+// One process runs at a time; the goroutines of all others are parked.
+// When the running process blocks or exits, its own goroutine picks the
+// next runnable process and resumes it, and when no process is runnable
+// it first fires the next instant's events itself. The resume order is
+// fixed by these rules:
+//
+//   - Making a process runnable (an event or another process waking it)
+//     puts it in a "next" slot; whatever was in the slot moves to the
+//     back of a FIFO queue.
+//   - Run releases the processes in spawn order, each made runnable that
+//     way, so the last one spawned runs first and the others follow in
+//     spawn order.
+//   - Each block or exit makes the engine's own entry runnable the same
+//     way, unless it is already queued.
+//   - The runner takes the slot before the queue.
+//   - The engine entry fires the next instant only when no process is
+//     runnable.
+//
+// The engine entry is always taken right after the block or exit that
+// queued it, so it is never held in the queue: its only effect is that
+// the process in the slot moves to the back of the queue. The code below
+// applies that directly instead of queueing an entry for the engine.
 type Engine struct {
 	mu      sync.Mutex
-	cond    *sync.Cond // signalled when running drops to zero
 	now     float64
 	seq     uint64
 	events  eventHeap
-	running int // process goroutines currently executing user code
 	procs   []*Process
 	stopped bool
 	failure error
 	obs     Observer
+
+	// The run queue: slot, then queue[head:]. runnable counts them.
+	slot     *Process
+	queue    []*Process
+	head     int
+	runnable int
+
+	result   error         // what Run returns, set when the run stops
+	panicked any           // a panic raised by an event callback, re-raised by Run
+	finished chan struct{} // closed when the last process goroutine exits
 
 	// deadlockNote is extra context (e.g. which ranks were lost to fault
 	// injection) appended to a deadlock report.
@@ -156,7 +190,6 @@ func (e *Engine) SetObserver(o Observer) {
 // NewEngine returns an empty engine at virtual time 0.
 func NewEngine() *Engine {
 	e := &Engine{}
-	e.cond = sync.NewCond(&e.mu)
 	e.fired = &Condition{engine: e, fired: true}
 	return e
 }
@@ -201,7 +234,7 @@ func (e *Engine) NowLocked() float64 { return e.now }
 type Process struct {
 	engine *Engine
 	name   string
-	wake   chan float64
+	wake   chan struct{} // receives the turn to run
 	done   bool
 	parked bool // true while blocked in block(); guards double-unblock
 	killed bool // set by KillLocked; the process dies at its next wake
@@ -236,40 +269,47 @@ func (p *Process) Now() float64 { return p.engine.Now() }
 
 // Spawn registers a process whose body starts executing at time 0 when Run
 // is called. The body runs in its own goroutine; when it returns, the
-// process is finished.
+// process is finished. Call before Run.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	p := &Process{engine: e, name: name, wake: make(chan float64, 1)}
+	p := &Process{engine: e, name: name, wake: make(chan struct{}, 1)}
 	e.procs = append(e.procs, p)
-	e.running++
 	go func() {
-		<-p.wake // wait for Run to release the process
-		defer func() {
-			r := recover()
-			e.mu.Lock()
-			switch v := r.(type) {
-			case nil:
-				// normal return
-			case killedPanic:
-				// fault-injected crash: a clean exit, not a failure
-			case Abort:
-				if e.failure == nil {
-					e.failure = fmt.Errorf("sim: process %q aborted: %w", name, v.Err)
-				}
-			default:
-				if e.failure == nil {
-					e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", name, r, debug.Stack())
-				}
-			}
-			p.done = true
-			e.running--
-			e.cond.Signal()
-			e.mu.Unlock()
-		}()
+		<-p.wake // wait for the process's first turn
+		defer func() { e.exit(p, recover()) }()
 		body(p)
 	}()
 	return p
+}
+
+// exit finishes the process whose body returned or panicked with r, and
+// hands the turn on.
+func (e *Engine) exit(p *Process, r any) {
+	e.mu.Lock()
+	switch v := r.(type) {
+	case nil:
+		// normal return
+	case killedPanic:
+		// fault-injected crash, or released after the run stopped: a clean
+		// exit, not a failure
+	case Abort:
+		if e.failure == nil {
+			e.failure = fmt.Errorf("sim: process %q aborted: %w", p.name, v.Err)
+		}
+	default:
+		if e.failure == nil {
+			e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
+		}
+	}
+	p.done = true
+	next := e.yieldLocked()
+	e.mu.Unlock()
+	if next == nil {
+		close(e.finished)
+		return
+	}
+	next.wake <- struct{}{}
 }
 
 // KillLocked marks the process as crashed. If it is parked on a simulated
@@ -291,10 +331,11 @@ func (p *Process) KillLocked() {
 // injection. Must be called with the engine lock held.
 func (p *Process) KilledLocked() bool { return p.killed }
 
-// block parks the calling process until an event wakes it via unblock.
-// The engine lock must be held on entry; it is released while parked and
-// re-acquired before returning. Returns the wake time.
-func (p *Process) block() float64 {
+// block parks the calling process until an event or another process
+// wakes it via unblock, handing the turn to the next runnable process
+// meanwhile. The engine lock must be held on entry; it is released while
+// parked and re-acquired before returning.
+func (p *Process) block() {
 	e := p.engine
 	if p.killed {
 		panic(killedPanic{})
@@ -303,11 +344,15 @@ func (p *Process) block() float64 {
 		e.obs.OnBlock(p.name, e.now)
 	}
 	p.parked = true
-	e.running--
-	e.cond.Signal()
-	e.mu.Unlock()
-	t := <-p.wake
-	e.mu.Lock()
+	// A process woken by the events its own turn fired keeps running on its
+	// goroutine. next is never nil here: a run only stops once p is queued
+	// to be released.
+	if next := e.yieldLocked(); next != p {
+		e.mu.Unlock()
+		next.wake <- struct{}{}
+		<-p.wake
+		e.mu.Lock()
+	}
 	if p.killed {
 		panic(killedPanic{})
 	}
@@ -319,13 +364,12 @@ func (p *Process) block() float64 {
 		}
 		e.obs.OnWake(p.name, e.now, lat)
 	}
-	return t
 }
 
-// unblock marks the process runnable at the current virtual time. Must be
-// called with the engine lock held (typically from an event callback).
-// Idempotent: a process already woken (e.g. by KillLocked racing a
-// condition failure) is not woken twice.
+// unblock makes the process runnable at the current virtual time: it takes
+// the run queue's slot. Must be called with the engine lock held (from an
+// event callback or process context). Idempotent: a process already woken
+// (e.g. by KillLocked racing a condition failure) is not woken twice.
 func (p *Process) unblock() {
 	if !p.parked {
 		return
@@ -335,8 +379,94 @@ func (p *Process) unblock() {
 	if e.obs != nil {
 		p.wakeWall = time.Now()
 	}
-	e.running++
-	p.wake <- e.now
+	e.vacateSlotLocked()
+	e.slot = p
+	e.runnable++
+}
+
+// vacateSlotLocked moves the process in the run queue's slot, if any, to
+// the back of the queue.
+func (e *Engine) vacateSlotLocked() {
+	if e.slot != nil {
+		e.queue = append(e.queue, e.slot)
+		e.slot = nil
+	}
+}
+
+// yieldLocked is called, with the engine lock held, when the running
+// process has blocked or exited, and returns the process to resume next
+// (see nextLocked).
+func (e *Engine) yieldLocked() *Process {
+	e.vacateSlotLocked() // as the engine's entry taking the slot would
+	return e.nextLocked()
+}
+
+// nextLocked returns the next process to resume, firing the next
+// instant's events while no process is runnable, or nil once the run has
+// stopped and every process has exited. The engine lock must be held.
+func (e *Engine) nextLocked() *Process {
+	for e.runnable == 0 {
+		switch {
+		case e.stopped:
+			return nil
+		case e.failure != nil || len(e.events) == 0:
+			e.stopLocked()
+		default:
+			e.fireLocked()
+		}
+	}
+	e.runnable--
+	if p := e.slot; p != nil {
+		e.slot = nil
+		return p
+	}
+	p := e.queue[e.head]
+	e.queue[e.head] = nil
+	e.head++
+	if e.head == len(e.queue) {
+		e.queue, e.head = e.queue[:0], 0
+	}
+	return p
+}
+
+// fireLocked advances to the next event time and fires every event at
+// it. A panicking callback stops the run; Run re-raises the panic.
+func (e *Engine) fireLocked() {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicked = r
+			e.stopLocked()
+		}
+	}()
+	next := e.events.peek().at
+	e.now = next
+	fired := 0
+	for len(e.events) > 0 && e.events.peek().at == next {
+		ev := e.events.pop()
+		ev.fn()
+		fired++
+	}
+	if e.obs != nil {
+		e.obs.OnAdvance(e.now, fired, len(e.events))
+	}
+}
+
+// stopLocked ends the run: it records Run's result, then kills every
+// process that has not finished and makes it runnable, so that its
+// goroutine exits through the killed path instead of staying parked.
+func (e *Engine) stopLocked() {
+	e.stopped = true
+	e.result = e.failure
+	for _, p := range e.procs {
+		if p.done {
+			continue
+		}
+		if e.result == nil {
+			e.result = e.deadlockError()
+		}
+		p.killed = true
+		p.unblock()
+	}
 }
 
 // Wait advances the process's local time by d seconds of pure delay.
@@ -492,55 +622,33 @@ func AwaitAll(p *Process, conds ...*Condition) {
 
 // Run executes the simulation until every spawned process has finished and
 // the event queue is empty. It returns ErrDeadlock if processes remain
-// blocked with no pending events, or the first process panic converted to
-// an error by a recover in the caller (panics propagate).
+// blocked with no pending events, or the first process failure (a panic
+// or an Abort in a process body) as an error; the other processes are
+// then released and exit before Run returns. A panic in an event callback
+// propagates out of Run.
 func (e *Engine) Run() error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stopped {
+	if e.finished != nil {
+		e.mu.Unlock()
 		return errors.New("sim: engine already run")
 	}
-	// Release all processes at time 0.
+	e.finished = make(chan struct{})
 	for _, p := range e.procs {
-		p.wake <- 0
+		p.parked = true
+		p.unblock()
 	}
-	for {
-		// Wait until every runnable process has blocked or finished.
-		for e.running > 0 {
-			e.cond.Wait()
-		}
-		if e.failure != nil {
-			err := e.failure
-			e.stopped = true
-			return err
-		}
-		if len(e.events) == 0 {
-			allDone := true
-			for _, p := range e.procs {
-				if !p.done {
-					allDone = false
-					break
-				}
-			}
-			e.stopped = true
-			if !allDone {
-				return e.deadlockError()
-			}
-			return nil
-		}
-		// Advance to the next event time and fire every event at it.
-		next := e.events.peek().at
-		e.now = next
-		fired := 0
-		for len(e.events) > 0 && e.events.peek().at == next {
-			ev := e.events.pop()
-			ev.fn()
-			fired++
-		}
-		if e.obs != nil {
-			e.obs.OnAdvance(e.now, fired, len(e.events))
-		}
+	next := e.nextLocked()
+	e.mu.Unlock()
+	if next != nil {
+		next.wake <- struct{}{}
+		<-e.finished
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.panicked != nil {
+		panic(e.panicked)
+	}
+	return e.result
 }
 
 // deadlockError builds the ErrDeadlock report: every stuck process with

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWaitAdvancesTime(t *testing.T) {
@@ -401,4 +403,119 @@ func TestNilObserverCostsNothing(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestResumeOrder pins the order in which processes woken at one instant
+// resume (see Engine): each release and wake takes the next slot and
+// pushes its occupant to the back of the queue, Run releases in spawn
+// order (so the last one spawned runs first), a block or exit moves the
+// slot's occupant to the back too, and events at an instant fire only
+// once no process is runnable.
+func TestResumeOrder(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	resume := func(p *Process) { log = append(log, fmt.Sprintf("%s@%g", p.Name(), p.Now())) }
+	x, y, z, w := e.NewCondition(), e.NewCondition(), e.NewCondition(), e.NewCondition()
+	e.At(1, x.FireLocked) // wakes A, B, C, in the order they awaited
+	e.Spawn("F", func(p *Process) {
+		resume(p)
+		p.Wait(1) // woken at 1 after A, B and C, so F takes the slot
+		resume(p)
+		y.Fire() // D takes the slot
+		z.Fire() // E takes it; D goes behind A, B, C
+		e.At(p.Now(), func() { log = append(log, fmt.Sprintf("event@%g", e.now)) })
+		p.Wait(1) // E goes behind D
+		resume(p)
+	})
+	for _, name := range []string{"A", "B"} {
+		e.Spawn(name, func(p *Process) {
+			resume(p)
+			x.Await(p)
+			resume(p)
+		})
+	}
+	e.Spawn("C", func(p *Process) {
+		resume(p)
+		x.Await(p)
+		resume(p)
+		w.Fire() // G takes the slot and goes behind E when C exits
+	})
+	for _, proc := range []struct {
+		name string
+		c    *Condition
+	}{{"D", y}, {"E", z}, {"G", w}} {
+		e.Spawn(proc.name, func(p *Process) {
+			resume(p)
+			proc.c.Await(p)
+			resume(p)
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"G@0", "F@0", "A@0", "B@0", "C@0", "D@0", "E@0",
+		"F@1", "A@1", "B@1", "C@1", "D@1", "E@1", "G@1", "event@1",
+		"F@2",
+	}
+	if strings.Join(log, " ") != strings.Join(want, " ") {
+		t.Errorf("resume order\n got %v\nwant %v", log, want)
+	}
+}
+
+// A run that stops on a deadlock or a failed process releases the
+// goroutines of the processes still parked: they exit instead of waiting
+// on their wake channel forever.
+func TestStoppedRunReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name string
+		fail bool
+	}{{"deadlock", false}, {"failure", true}} {
+		e := NewEngine()
+		never := e.NewCondition()
+		var deferred atomic.Int64
+		for i := 0; i < 20; i++ {
+			e.Spawn(fmt.Sprintf("p%d", i), func(p *Process) {
+				defer deferred.Add(1)
+				p.Wait(float64(i % 3))
+				never.Await(p)
+			})
+		}
+		if tc.fail {
+			e.Spawn("boom", func(p *Process) {
+				p.Wait(5)
+				panic("kaboom")
+			})
+		}
+		err := e.Run()
+		if tc.fail == errors.Is(err, ErrDeadlock) || err == nil {
+			t.Fatalf("%s: Run = %v", tc.name, err)
+		}
+		if got := deferred.Load(); got != 20 {
+			t.Errorf("%s: %d of 20 process bodies unwound", tc.name, got)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the stopped runs, %d before", n, base)
+	}
+}
+
+// A panic in an event callback is not a process failure: it propagates
+// out of Run, and the parked processes are released first.
+func TestEventPanicPropagates(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("p", func(p *Process) { p.Wait(2) })
+	e.At(1, func() { panic("callback") })
+	defer func() {
+		if r := recover(); r != "callback" {
+			t.Errorf("Run panicked with %v, want the callback's panic", r)
+		}
+	}()
+	_ = e.Run()
+	t.Error("Run returned")
 }
