@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -157,5 +158,56 @@ func TestSizes16KBto512MB(t *testing.T) {
 func TestFormatMBps(t *testing.T) {
 	if got := FormatMBps(7.731e9); got != "7731" {
 		t.Errorf("FormatMBps = %q", got)
+	}
+}
+
+// Engines share no state: Measure calls run in parallel goroutines give
+// the bandwidths of the same calls run one after another, bit for bit.
+func TestParallelMeasuresMatchSequential(t *testing.T) {
+	cfg, _ := smallHydra()
+	type call struct {
+		coll  Collective
+		sigma []int
+		all   bool
+	}
+	var calls []call
+	for _, coll := range []Collective{Alltoall, Allreduce} {
+		for _, sigma := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}} {
+			for _, all := range []bool{false, true} {
+				calls = append(calls, call{coll, sigma, all})
+			}
+		}
+	}
+	measure := func(c call) (Point, error) {
+		cfg := cfg
+		cfg.Coll = c.coll
+		return Measure(cfg, c.sigma, 1<<20, c.all)
+	}
+	want := make([]Point, len(calls))
+	for i, c := range calls {
+		p, err := measure(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = p
+	}
+	got := make([]Point, len(calls))
+	errs := make([]error, len(calls))
+	var wg sync.WaitGroup
+	for i, c := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = measure(c)
+		}()
+	}
+	wg.Wait()
+	for i, c := range calls {
+		if errs[i] != nil {
+			t.Fatalf("%v: %v", c, errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("%v: parallel %+v, sequential %+v", c, got[i], want[i])
+		}
 	}
 }

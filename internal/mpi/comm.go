@@ -14,7 +14,7 @@ import (
 )
 
 // Comm is a communicator: an ordered group of world ranks. Methods must be
-// called from the goroutine of the rank passed as the first argument, and
+// called from the body of the rank passed as the first argument, and
 // every member must call each collective in the same order.
 type Comm struct {
 	w     *World
@@ -158,7 +158,6 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 	w := c.w
 	me := c.group[c.rank]
 
-	w.mu.Lock()
 	sk := splitKey{commID: c.id, seq: seq}
 	st := w.splits[sk]
 	if st == nil {
@@ -211,10 +210,8 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 			}
 		}
 		delete(w.splits, sk)
-		w.mu.Unlock()
 		st.done.Fire()
 	} else {
-		w.mu.Unlock()
 		st.done.AwaitOp(r.proc, "Split", -1, 0)
 		if err := st.done.Err(); err != nil {
 			// A member crashed while the split was collecting entries.

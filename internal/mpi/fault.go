@@ -6,7 +6,7 @@
 // Semantics on a crash of world rank f at virtual time t:
 //
 //   - f's process is killed: if parked on an operation it never resumes,
-//     and its goroutine exits cleanly.
+//     and its body unwinds cleanly.
 //   - Every communicator created before the crash is revoked (the world
 //     epoch is bumped). Any subsequent operation on a revoked communicator
 //     aborts with an error wrapping fault.ErrRankLost naming f, so no rank
@@ -20,11 +20,9 @@
 //     revoked communicator to obtain a fresh communicator of the living
 //     members and continue.
 //
-// Lock order note: event callbacks run with the engine lock held and take
-// w.mu here, while process-context code takes w.mu first and then the
-// engine lock. This cannot deadlock because the engine fires callbacks
-// only when no process goroutine is executing (running == 0), so no
-// process can be inside a w.mu critical section at callback time.
+// The crash, straggle and link events run as engine event callbacks. The
+// engine fires them only between rank steps, on the run's one thread of
+// control, so they change the world's state without locking.
 
 package mpi
 
@@ -58,36 +56,27 @@ func (w *World) ApplyFaults(plan *fault.Plan) error {
 		ev := ev
 		switch ev.Kind {
 		case fault.KindRank:
-			w.engine.At(ev.At, func() { w.killRankLocked(ev.Target) })
+			w.engine.At(ev.At, func() { w.killRank(ev.Target) })
 		case fault.KindNode:
-			w.engine.At(ev.At, func() { w.killNodeLocked(ev.Target) })
+			w.engine.At(ev.At, func() { w.killNode(ev.Target) })
 		case fault.KindStraggle:
 			if ev.At == 0 {
 				// Processes are released at t=0 before any event fires, so
 				// a t=0 straggler must be slow from its very first step.
-				w.mu.Lock()
 				w.straggle[ev.Target] = ev.Factor
-				w.mu.Unlock()
 				continue
 			}
-			w.engine.At(ev.At, func() { w.straggleRankLocked(ev.Target, ev.Factor) })
+			w.engine.At(ev.At, func() { w.straggleRank(ev.Target, ev.Factor) })
 		case fault.KindLink:
-			w.engine.At(ev.At, func() { w.degradeLevelLocked(ev.Level, ev.Factor) })
+			w.engine.At(ev.At, func() { w.degradeLevel(ev.Level, ev.Factor) })
 		}
 	}
 	return nil
 }
 
-// straggleOf returns the rank's current slowdown factor (>= 1).
-func (w *World) straggleOf(rank int) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.straggle[rank]
-}
-
-// stretchLocked returns the latency stretch for a message between two
-// ranks: the slower endpoint's straggle factor. Callers hold w.mu.
-func (w *World) stretchLocked(src, dst int) float64 {
+// stretch returns the latency stretch for a message between two
+// ranks: the slower endpoint's straggle factor.
+func (w *World) stretch(src, dst int) float64 {
 	if !w.faulty {
 		return 1
 	}
@@ -100,19 +89,15 @@ func (w *World) stretchLocked(src, dst int) float64 {
 
 // Lost reports whether a world rank has crashed.
 func (w *World) Lost(rank int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.lost[rank]
 }
 
 // LostRanks returns the crashed world ranks, ascending.
 func (w *World) LostRanks() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sortedLostLocked()
+	return w.sortedLost()
 }
 
-func (w *World) sortedLostLocked() []int {
+func (w *World) sortedLost() []int {
 	out := append([]int(nil), w.lostList...)
 	sort.Ints(out)
 	return out
@@ -120,8 +105,6 @@ func (w *World) sortedLostLocked() []int {
 
 // AliveRanks returns the surviving world ranks, ascending.
 func (w *World) AliveRanks() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	out := make([]int, 0, len(w.lost))
 	for r, dead := range w.lost {
 		if !dead {
@@ -134,8 +117,6 @@ func (w *World) AliveRanks() []int {
 // FailedCores returns the cores of crashed ranks, ascending — the input
 // for topology.Hierarchy.Degrade.
 func (w *World) FailedCores() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	out := make([]int, 0, len(w.lostList))
 	for _, r := range w.lostList {
 		out = append(out, w.binding[r])
@@ -148,49 +129,44 @@ func (w *World) FailedCores() []int {
 // on every crash. Communicators remember the epoch they were created in
 // and are revoked when it changes.
 func (w *World) Epoch() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.epoch
 }
 
-// rankLostErrLocked builds the typed error for an operation failed by the
-// loss of the given rank. Callers hold w.mu.
-func (w *World) rankLostErrLocked(op string, rank int, at float64) error {
+// rankLostErr builds the typed error for an operation failed by the
+// loss of the given rank.
+func (w *World) rankLostErr(op string, rank int, at float64) error {
 	return &fault.RankLostError{
 		Rank:  rank,
 		Node:  w.nodeOf(w.binding[rank]),
 		At:    at,
 		Op:    op,
-		Ranks: w.sortedLostLocked(),
+		Ranks: w.sortedLost(),
 	}
 }
 
-// revokedErrLocked builds the typed error for an operation on a revoked
-// communicator; it names the most recent crash. Callers hold w.mu.
-func (w *World) revokedErrLocked(op string) error {
+// revokedErr builds the typed error for an operation on a revoked
+// communicator; it names the most recent crash.
+func (w *World) revokedErr(op string) error {
 	e := w.lastLoss // copy
 	e.Op = op
-	e.Ranks = w.sortedLostLocked()
+	e.Ranks = w.sortedLost()
 	return fmt.Errorf("mpi: communicator revoked: %w", &e)
 }
 
-// killNodeLocked crashes every rank bound to a core of the node. Runs in
-// event-callback context (engine lock held).
-func (w *World) killNodeLocked(node int) {
+// killNode crashes every rank bound to a core of the node. Runs as an
+// event callback.
+func (w *World) killNode(node int) {
 	for r, core := range w.binding {
 		if w.nodeOf(core) == node {
-			w.killRankLocked(r)
+			w.killRank(r)
 		}
 	}
 }
 
-// killRankLocked crashes one world rank. Runs in event-callback context
-// (engine lock held).
-func (w *World) killRankLocked(rank int) {
-	now := w.engine.NowLocked()
-	w.mu.Lock()
+// killRank crashes one world rank. Runs as an event callback.
+func (w *World) killRank(rank int) {
+	now := w.engine.Now()
 	if w.lost[rank] {
-		w.mu.Unlock()
 		return
 	}
 	w.lost[rank] = true
@@ -200,7 +176,7 @@ func (w *World) killRankLocked(rank int) {
 
 	// Kill the process first: if it was parked, it wakes exactly once (to
 	// die), and the condition failures below cannot double-wake it.
-	w.procs[rank].KillLocked()
+	w.procs[rank].Kill()
 
 	// Poison every unmatched point-to-point operation, world-wide. All of
 	// them belong to communicators created before this crash — which are
@@ -220,7 +196,7 @@ func (w *World) killRankLocked(rank int) {
 			}
 			for _, snd := range q.sends {
 				if !snd.started {
-					failed = append(failed, snd.senderFin)
+					failed = append(failed, &snd.fin)
 				}
 			}
 			delete(w.mail[dst], key)
@@ -232,14 +208,14 @@ func (w *World) killRankLocked(rank int) {
 		failed = append(failed, st.done)
 		delete(w.splits, sk)
 	}
-	err := w.rankLostErrLocked("", rank, now)
-	w.engine.SetDeadlockNoteLocked(fault.LostRanks(w.sortedLostLocked()))
+	err := w.rankLostErr("", rank, now)
+	w.engine.SetDeadlockNote(fault.LostRanks(w.sortedLost()))
 
 	// A pending shrink may become complete now that this rank no longer
 	// counts as a required participant.
 	var shrinksDone []*sim.Condition
 	for _, st := range w.shrinks {
-		if w.tryFinishShrinkLocked(st) {
+		if w.tryFinishShrink(st) {
 			shrinksDone = append(shrinksDone, st.done)
 		}
 	}
@@ -252,37 +228,34 @@ func (w *World) killRankLocked(rank int) {
 		sc.Registry().Counter("mpi_faults_total", obs.L("kind", "crash")).AddInt(1)
 		sc.Registry().Gauge("mpi_ranks_lost").Add(1)
 	}
-	w.mu.Unlock()
 
 	for _, c := range failed {
-		c.FailLocked(err)
+		c.Fail(err)
 	}
 	for _, c := range shrinksDone {
-		c.FireLocked()
+		c.Fire()
 	}
 }
 
-// straggleRankLocked applies a slowdown factor to one rank. Runs in
-// event-callback context (engine lock held).
-func (w *World) straggleRankLocked(rank int, factor float64) {
-	w.mu.Lock()
+// straggleRank applies a slowdown factor to one rank. Runs as an event
+// callback.
+func (w *World) straggleRank(rank int, factor float64) {
 	w.straggle[rank] = factor
-	w.mu.Unlock()
 	if sc := w.cfg.Obs; sc != nil {
 		core := w.binding[rank]
-		sc.Instant(w.nodeOf(core), rank, "fault:straggle", "fault", w.engine.NowLocked(),
+		sc.Instant(w.nodeOf(core), rank, "fault:straggle", "fault", w.engine.Now(),
 			obs.Arg{Key: "rank", Val: int64(rank)},
 			obs.Arg{Key: "factor_x1000", Val: int64(factor * 1000)})
 		sc.Registry().Counter("mpi_faults_total", obs.L("kind", "straggle")).AddInt(1)
 	}
 }
 
-// degradeLevelLocked degrades every link at one hierarchy level. Runs in
-// event-callback context (engine lock held).
-func (w *World) degradeLevelLocked(level int, factor float64) {
+// degradeLevel degrades every link at one hierarchy level. Runs as an
+// event callback.
+func (w *World) degradeLevel(level int, factor float64) {
 	w.platform.DegradeLevel(level, factor)
 	if sc := w.cfg.Obs; sc != nil {
-		sc.Instant(0, 0, "fault:link", "fault", w.engine.NowLocked(),
+		sc.Instant(0, 0, "fault:link", "fault", w.engine.Now(),
 			obs.Arg{Key: "level", Val: int64(level)},
 			obs.Arg{Key: "factor_x1000", Val: int64(factor * 1000)})
 		sc.Registry().Counter("mpi_faults_total", obs.L("kind", "link")).AddInt(1)
@@ -298,17 +271,11 @@ func (c *Comm) guard(op string, peerWorld int) {
 	if !w.faulty {
 		return
 	}
-	w.mu.Lock()
-	var err error
 	switch {
 	case c.epoch != w.epoch:
-		err = w.revokedErrLocked(op)
+		panic(sim.Abort{Err: w.revokedErr(op)})
 	case peerWorld >= 0 && w.lost[peerWorld]:
-		err = fmt.Errorf("mpi: %w", w.rankLostErrLocked(op, peerWorld, w.lastLoss.At))
-	}
-	w.mu.Unlock()
-	if err != nil {
-		panic(sim.Abort{Err: err})
+		panic(sim.Abort{Err: fmt.Errorf("mpi: %w", w.rankLostErr(op, peerWorld, w.lastLoss.At))})
 	}
 }
 
@@ -338,11 +305,8 @@ func (c *Comm) Shrink(r *Rank) *Comm {
 	seq := c.nextSeq()
 	w := c.w
 	me := c.group[c.rank]
-
-	w.mu.Lock()
 	if w.lost[me] {
-		// Cannot happen: a dead rank's goroutine never runs.
-		w.mu.Unlock()
+		// Cannot happen: a dead rank's body never runs again.
 		panic("mpi: dead rank called Shrink")
 	}
 	sk := shrinkKey{commID: c.id, seq: seq}
@@ -357,10 +321,7 @@ func (c *Comm) Shrink(r *Rank) *Comm {
 		w.shrinks[sk] = st
 	}
 	st.arrived[me] = true
-	finished := w.tryFinishShrinkLocked(st)
-	w.mu.Unlock()
-
-	if finished {
+	if w.tryFinishShrink(st) {
 		st.done.Fire()
 	} else {
 		st.done.AwaitOp(r.proc, "Shrink", -1, 0)
@@ -374,11 +335,11 @@ func (c *Comm) Shrink(r *Rank) *Comm {
 	return &Comm{w: w, id: spec.id, group: spec.group, rank: spec.rank, epoch: spec.epoch}
 }
 
-// tryFinishShrinkLocked completes the shrink if every surviving member of
+// tryFinishShrink completes the shrink if every surviving member of
 // the communicator has arrived, computing the new communicator layout.
 // Returns true when it completed in this call; the caller then fires
-// st.done (after releasing w.mu). Callers hold w.mu.
-func (w *World) tryFinishShrinkLocked(st *shrinkState) bool {
+// st.done.
+func (w *World) tryFinishShrink(st *shrinkState) bool {
 	if st.result != nil {
 		return false
 	}

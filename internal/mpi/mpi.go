@@ -1,5 +1,7 @@
-// Package mpi is a simulated MPI runtime: ranks are goroutines executing
-// against the virtual clock of a discrete-event engine, point-to-point
+// Package mpi is a simulated MPI runtime: ranks are simulation processes
+// executing against the virtual clock of a discrete-event engine, one at a
+// time on the engine's single thread of control (so the world's state
+// needs no lock), point-to-point
 // messages are fluid flows over the machine's link graph, and collective
 // operations are the real message schedules of the textbook algorithms
 // (ring, Bruck, recursive doubling, pairwise exchange, binomial trees), so
@@ -15,7 +17,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/netmodel"
@@ -29,8 +30,9 @@ import (
 const defaultEagerThreshold = 16 * 1024
 
 // Tracer observes completed operations for profiling (the mpisee-style
-// per-communicator accounting of §4.2). Implementations must be safe for
-// concurrent use — ranks call it from their own goroutines.
+// per-communicator accounting of §4.2). The ranks of one world call it one
+// at a time; a tracer shared by worlds that run concurrently must be safe
+// for concurrent use.
 type Tracer interface {
 	// Collective records one collective call: the communicator id and size,
 	// the operation name, the per-rank payload bytes, the world rank, and
@@ -40,8 +42,8 @@ type Tracer interface {
 
 // P2PTracer observes every point-to-point message (including the ones
 // collective algorithms issue), e.g. to build a communication matrix at
-// runtime (§2 of the paper). Implementations must be safe for concurrent
-// use.
+// runtime (§2 of the paper). Like Tracer, it is called one rank at a
+// time within a world.
 type P2PTracer interface {
 	P2P(srcWorldRank, dstWorldRank int, bytes int64)
 }
@@ -76,7 +78,6 @@ type World struct {
 	binding  []int
 	cfg      Config
 
-	mu      sync.Mutex
 	mail    []map[matchKey]*matchQueue // per destination rank
 	spare   []*matchQueue              // drained queues, reused by queueFor
 	commSeq int
@@ -90,8 +91,8 @@ type World struct {
 	lost     []bool         // by world rank
 	lostList []int          // world ranks lost, in crash order
 	lastLoss fault.RankLostError
-	epoch    int // bumped on every crash; revokes pre-crash communicators
-	straggle []float64
+	epoch    int       // bumped on every crash; revokes pre-crash communicators
+	straggle []float64 // by world rank: slowdown factor, >= 1
 	shrinks  map[shrinkKey]*shrinkState
 
 	// Observability state, pre-resolved at NewWorld so the hot paths pay
@@ -123,13 +124,13 @@ type matchQueue struct {
 
 // sendRec is an unmatched send. An eager one has its transfer in flight
 // already; a rendezvous one waits for the receiver to start it, and its
-// sender and receiver then both complete when the transfer does.
+// sender and receiver then both complete when the transfer does. Either
+// way fin fires when the data movement completes.
 type sendRec struct {
-	buf       Buf
-	srcCore   int
-	started   bool           // transfer already launched (eager)
-	transfer  *sim.Condition // completion of the data movement (set when started)
-	senderFin *sim.Condition // rendezvous: fired when the transfer completes
+	buf     Buf
+	srcCore int
+	started bool // transfer already launched (eager)
+	fin     sim.Condition
 }
 
 // Rank is the per-process handle passed to the rank body.
@@ -266,7 +267,7 @@ func (r *Rank) Core() int { return r.w.binding[r.id] }
 // A straggling rank's local work is stretched by its slowdown factor.
 func (r *Rank) Wait(d float64) {
 	if r.w.faulty {
-		d *= r.w.straggleOf(r.id)
+		d *= r.w.straggle[r.id]
 	}
 	r.proc.Wait(d)
 }
@@ -276,7 +277,7 @@ func (r *Rank) Wait(d float64) {
 // A straggling rank's kernel does the same work at 1/factor speed.
 func (r *Rank) Compute(flops, bytes float64) {
 	if r.w.faulty {
-		f := r.w.straggleOf(r.id)
+		f := r.w.straggle[r.id]
 		flops *= f
 		bytes *= f
 	}
@@ -288,7 +289,8 @@ func (r *Rank) Compute(flops, bytes float64) {
 // labelling costs no allocation on the hot path).
 type Request struct {
 	fin     *sim.Condition
-	payload Buf // the received message; set before fin fires
+	cond    sim.Condition // fin of a posted receive, held in place
+	payload Buf           // the received message; set before fin fires
 	op      string
 	peer    int // world rank of the remote side
 	tag     int64
@@ -317,7 +319,7 @@ func WaitAll(r *Rank, reqs ...*Request) {
 }
 
 // queueFor returns (creating if needed) the match queue at destination dst
-// for messages from src with the tag. Callers hold w.mu.
+// for messages from src with the tag.
 func (w *World) queueFor(dst, src int, tag int64) *matchQueue {
 	k := matchKey{src: src, tag: tag}
 	q := w.mail[dst][k]
@@ -337,8 +339,7 @@ func (w *World) queueFor(dst, src int, tag int64) *matchQueue {
 // once it holds no pending operation, so mail keeps only channels with
 // unmatched sends or receives instead of every channel ever used. The
 // queue goes to the spare list with its backing arrays, so the number of
-// queues ever allocated is the peak number pending at once. Callers hold
-// w.mu.
+// queues ever allocated is the peak number pending at once.
 func (w *World) dropIfDrained(dst, src int, tag int64, q *matchQueue) {
 	if len(q.sends) == 0 && len(q.recvs) == 0 {
 		delete(w.mail[dst], matchKey{src: src, tag: tag})
@@ -374,8 +375,7 @@ func (w *World) isend(src, dst int, tag int64, buf Buf) *Request {
 	}
 	eager := buf.Bytes <= w.cfg.EagerThreshold
 
-	w.mu.Lock()
-	stretch := w.stretchLocked(src, dst)
+	stretch := w.stretch(src, dst)
 	q := w.queueFor(dst, src, tag)
 	if len(q.recvs) > 0 {
 		// A receive is already posted: start the transfer now. Rendezvous
@@ -383,7 +383,6 @@ func (w *World) isend(src, dst int, tag int64, buf Buf) *Request {
 		var rv *Request
 		rv, q.recvs = popFront(q.recvs)
 		w.dropIfDrained(dst, src, tag, q)
-		w.mu.Unlock()
 		// The transfer fires the receive's own condition, and the receiver
 		// reads the payload only once it has fired.
 		rv.payload = buf.Clone()
@@ -398,48 +397,37 @@ func (w *World) isend(src, dst int, tag int64, buf Buf) *Request {
 	rec := &sendRec{buf: buf.Clone(), srcCore: srcCore}
 	if eager {
 		// Launch the transfer immediately; the sender is done already.
-		// The transfer must be attached before the record becomes visible.
 		rec.started = true
-		rec.transfer = w.engine.NewCondition()
-		w.platform.StartTransferStretched(rec.transfer, srcCore, dstCore, float64(buf.Bytes), 0, stretch)
+		w.platform.StartTransferStretched(&rec.fin, srcCore, dstCore, float64(buf.Bytes), 0, stretch)
 		q.sends = append(q.sends, rec)
-		w.mu.Unlock()
 		return w.sent
 	}
-	rec.senderFin = w.engine.NewCondition()
 	q.sends = append(q.sends, rec)
-	w.mu.Unlock()
-	return &Request{fin: rec.senderFin, op: "Send", peer: dst, tag: tag, chk: w.faulty}
+	return &Request{fin: &rec.fin, op: "Send", peer: dst, tag: tag, chk: w.faulty}
 }
 
 // irecv posts a receive at world rank dst for a message from src.
 func (w *World) irecv(dst, src int, tag int64) *Request {
 	req := &Request{op: "Recv", peer: src, tag: tag, chk: w.faulty}
 
-	w.mu.Lock()
-	stretch := w.stretchLocked(src, dst)
+	stretch := w.stretch(src, dst)
 	q := w.queueFor(dst, src, tag)
 	if len(q.sends) > 0 {
 		var rec *sendRec
 		rec, q.sends = popFront(q.sends)
 		w.dropIfDrained(dst, src, tag, q)
-		w.mu.Unlock()
 		req.payload = rec.buf
-		if rec.started {
-			// Eager message already in flight (or arrived): its transfer
-			// completes the receive.
-			req.fin = rec.transfer
-		} else {
-			// Rendezvous: the receiver triggers the transfer and pays the
-			// handshake round trip on top of the path latency; sender and
-			// receiver complete together with it.
-			req.fin = rec.senderFin
+		// An eager message is in flight (or arrived) already, and its
+		// transfer completes the receive. A rendezvous one is triggered by
+		// the receiver, which pays the handshake round trip on top of the
+		// path latency; sender and receiver complete together with it.
+		req.fin = &rec.fin
+		if !rec.started {
 			w.platform.StartTransferStretched(req.fin, rec.srcCore, w.binding[dst], float64(rec.buf.Bytes), 1, stretch)
 		}
 		return req
 	}
-	req.fin = w.engine.NewCondition()
+	req.fin = &req.cond
 	q.recvs = append(q.recvs, req)
-	w.mu.Unlock()
 	return req
 }

@@ -57,7 +57,7 @@ func TestCommPathWarmAllocsFree(t *testing.T) {
 	}
 }
 
-// Rank goroutines fill the memo concurrently; under -race this checks
+// Several goroutines fill the memo concurrently; under -race this checks
 // the fill is synchronized, and every caller still sees the fresh path.
 func TestCommPathConcurrentFill(t *testing.T) {
 	p := netmodel.NewPlatform(sim.NewEngine(), cluster.Hydra(4, 1))

@@ -9,7 +9,7 @@ func (p *Platform) ComputePath(a, b int) ([]*Link, float64) { return p.computePa
 
 // AddFlow starts a flow over the path at once.
 func (f *Fluid) AddFlow(path []*Link, bytes float64) {
-	f.addFlowLocked(path, bytes, f.engine.NewCondition())
+	f.addFlow(path, bytes, f.engine.NewCondition())
 }
 
 // Flows returns the active flows.
@@ -19,7 +19,7 @@ func (f *Fluid) Flows() []*Flow { return f.flows }
 func (f *Fluid) Retire(fl *Flow) { f.retire(fl) }
 
 // Recompute assigns max-min fair rates to the active flows.
-func (f *Fluid) Recompute() { f.recomputeLocked() }
+func (f *Fluid) Recompute() { f.recompute() }
 
 // ListedLinks returns the set of finite links the fluid tracks as
 // carrying flows.

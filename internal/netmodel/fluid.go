@@ -145,7 +145,7 @@ func (f *Fluid) startTransfer(done *sim.Condition, path []*Link, bytes, latency 
 		panic("netmodel: negative transfer")
 	}
 	f.engine.At(f.engine.Now()+latency, func() {
-		f.addFlowLocked(path, bytes, done)
+		f.addFlow(path, bytes, done)
 	})
 }
 
@@ -154,10 +154,10 @@ func (f *Fluid) Transfer(p *sim.Process, path []*Link, bytes, latency float64) {
 	f.StartTransfer(path, bytes, latency).Await(p)
 }
 
-// addFlowLocked runs inside an event callback (engine lock held).
-func (f *Fluid) addFlowLocked(path []*Link, bytes float64, done *sim.Condition) {
+// addFlow runs inside an event callback.
+func (f *Fluid) addFlow(path []*Link, bytes float64, done *sim.Condition) {
 	if bytes <= completionEps {
-		done.FireLocked()
+		done.Fire()
 		return
 	}
 	constrained := false
@@ -169,7 +169,7 @@ func (f *Fluid) addFlowLocked(path []*Link, bytes float64, done *sim.Condition) 
 	}
 	if !constrained {
 		// No finite link on the path: the transfer is latency-only.
-		done.FireLocked()
+		done.Fire()
 		return
 	}
 	fl := &Flow{links: path, remaining: bytes, done: done, idx: len(f.flows)}
@@ -182,48 +182,48 @@ func (f *Fluid) addFlowLocked(path []*Link, bytes float64, done *sim.Condition) 
 			f.links = append(f.links, l)
 		}
 	}
-	f.markDirtyLocked()
+	f.markDirty()
 }
 
-// markDirtyLocked coalesces rate recomputation: many flow arrivals or
+// markDirty coalesces rate recomputation: many flow arrivals or
 // departures at one instant trigger a single recompute request.
-func (f *Fluid) markDirtyLocked() {
+func (f *Fluid) markDirty() {
 	if f.dirty {
 		return
 	}
 	f.dirty = true
-	f.engine.AtLocked(f.engine.NowLocked(), func() {
+	f.engine.At(f.engine.Now(), func() {
 		f.dirty = false
-		f.settleLocked()
-		f.completeFinishedLocked()
-		f.requestRecomputeLocked()
+		f.settle()
+		f.completeFinished()
+		f.requestRecompute()
 	})
 }
 
-// requestRecomputeLocked recomputes immediately when the quantum since the
+// requestRecompute recomputes immediately when the quantum since the
 // last recompute has passed, and otherwise defers one recompute to the end
 // of the quantum.
-func (f *Fluid) requestRecomputeLocked() {
-	now := f.engine.NowLocked()
+func (f *Fluid) requestRecompute() {
+	now := f.engine.Now()
 	if now >= f.lastRecompute+recomputeQuantum {
-		f.recomputeLocked()
+		f.recompute()
 		return
 	}
 	if f.deferredPending {
 		return
 	}
 	f.deferredPending = true
-	f.engine.AtLocked(f.lastRecompute+recomputeQuantum, func() {
+	f.engine.At(f.lastRecompute+recomputeQuantum, func() {
 		f.deferredPending = false
-		f.settleLocked()
-		f.completeFinishedLocked()
-		f.recomputeLocked()
+		f.settle()
+		f.completeFinished()
+		f.recompute()
 	})
 }
 
-// settleLocked charges every flow for progress since the last settlement.
-func (f *Fluid) settleLocked() {
-	now := f.engine.NowLocked()
+// settle charges every flow for progress since the last settlement.
+func (f *Fluid) settle() {
+	now := f.engine.Now()
 	dt := now - f.lastSettle
 	f.lastSettle = now
 	if dt <= 0 {
@@ -257,9 +257,9 @@ func (f *Fluid) retire(fl *Flow) {
 	}
 }
 
-// completeFinishedLocked retires every flow whose bytes are done (or will
+// completeFinished retires every flow whose bytes are done (or will
 // be within the completion slack) and fires its condition.
-func (f *Fluid) completeFinishedLocked() {
+func (f *Fluid) completeFinished() {
 	done := f.scratchDone[:0]
 	for i := 0; i < len(f.flows); {
 		fl := f.flows[i]
@@ -272,21 +272,21 @@ func (f *Fluid) completeFinishedLocked() {
 	}
 	f.scratchDone = done[:0]
 	for _, fl := range done {
-		fl.done.FireLocked()
+		fl.done.Fire()
 	}
 }
 
-// recomputeLocked assigns max-min fair rates to all active flows
+// recompute assigns max-min fair rates to all active flows
 // (progressive filling) and schedules the next completion event.
-func (f *Fluid) recomputeLocked() {
+func (f *Fluid) recompute() {
 	f.Recomputes++
-	f.lastRecompute = f.engine.NowLocked()
+	f.lastRecompute = f.engine.Now()
 	if len(f.flows) == 0 {
 		f.gen++
 		return
 	}
 	if f.NoContention {
-		f.recomputeNoContentionLocked()
+		f.recomputeNoContention()
 		return
 	}
 	for _, fl := range f.flows {
@@ -361,12 +361,12 @@ func (f *Fluid) recomputeLocked() {
 		}
 	}
 	f.scratchBottlenecks = bottlenecks[:0]
-	f.scheduleNextLocked()
+	f.scheduleNext()
 }
 
-// recomputeNoContentionLocked gives every flow its narrowest link's full
+// recomputeNoContention gives every flow its narrowest link's full
 // capacity (the no-sharing ablation).
-func (f *Fluid) recomputeNoContentionLocked() {
+func (f *Fluid) recomputeNoContention() {
 	for _, fl := range f.flows {
 		rate := math.Inf(1)
 		for _, l := range fl.links {
@@ -376,12 +376,12 @@ func (f *Fluid) recomputeNoContentionLocked() {
 		}
 		fl.rate = rate
 	}
-	f.scheduleNextLocked()
+	f.scheduleNext()
 }
 
-// scheduleNextLocked arms the completion event for the earliest-finishing
+// scheduleNext arms the completion event for the earliest-finishing
 // flow under the current rates.
-func (f *Fluid) scheduleNextLocked() {
+func (f *Fluid) scheduleNext() {
 	next := math.Inf(1)
 	for _, fl := range f.flows {
 		if fl.rate <= 0 {
@@ -397,23 +397,22 @@ func (f *Fluid) scheduleNextLocked() {
 		return // all rates zero: flows stall until the set changes
 	}
 	gen := f.gen
-	now := f.engine.NowLocked()
-	f.engine.AtLocked(now+next, func() {
+	now := f.engine.Now()
+	f.engine.At(now+next, func() {
 		if gen != f.gen {
 			return // superseded by a later recompute
 		}
-		f.settleLocked()
-		f.completeFinishedLocked()
-		f.requestRecomputeLocked()
+		f.settle()
+		f.completeFinished()
+		f.requestRecompute()
 	})
 }
 
 // ActiveFlows returns the number of in-flight flows (diagnostic).
 func (f *Fluid) ActiveFlows() int { return len(f.flows) }
 
-// RebalanceLocked requests a fair-share recomputation after link capacities
+// Rebalance requests a fair-share recomputation after link capacities
 // changed out-of-band (fault injection degrading a level). In-flight flows
 // are settled at their old rates up to the current instant first, so the
-// degradation takes effect exactly now. Must be called from an event
-// callback (engine lock held).
-func (f *Fluid) RebalanceLocked() { f.markDirtyLocked() }
+// degradation takes effect exactly now. Call it from an event callback.
+func (f *Fluid) Rebalance() { f.markDirty() }

@@ -293,8 +293,8 @@ func (p *Platform) StartTransferStretched(done *sim.Condition, a, b int, bytes f
 // DegradeLevel multiplies the capacity of every finite link at the given
 // hierarchy level — uplinks, buses, memory, and (for level 0) the fabric —
 // by factor in (0, 1], then rebalances in-flight flows so the degradation
-// takes effect at the current virtual instant. Must be called from an
-// event callback (engine lock held).
+// takes effect at the current virtual instant. Call it from an event
+// callback.
 func (p *Platform) DegradeLevel(level int, factor float64) {
 	if level < 0 || level >= p.hier.Depth() || factor <= 0 || factor > 1 {
 		return
@@ -313,7 +313,7 @@ func (p *Platform) DegradeLevel(level int, factor float64) {
 	if level == 0 && p.fabric != nil {
 		p.fabric.Capacity *= factor
 	}
-	p.fluid.RebalanceLocked()
+	p.fluid.Rebalance()
 }
 
 // Transfer performs a blocking a→b message from the calling process.

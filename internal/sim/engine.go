@@ -1,9 +1,14 @@
+//go:build go1.23
+
 // Package sim provides the discrete-event simulation engine underneath the
 // simulated cluster: a virtual clock, a time-ordered event queue, and
-// process goroutines that block on simulated operations and are resumed by
-// the scheduler when their operation completes.
+// processes that block on simulated operations and are resumed by the
+// scheduler when their operation completes.
 //
-// Exactly one process runs at a time. Events fire in (time, sequence)
+// Each process body runs as a coroutine (iter.Pull) that Run resumes on
+// the goroutine that called it, so exactly one process runs at a time and
+// a run — process bodies, event callbacks and observer hooks — is one
+// thread of control that needs no locks. Events fire in (time, sequence)
 // order, and woken processes resume one after another in a fixed order
 // (see Engine), so a run is a pure function of its inputs: the same
 // simulation gives bit-identical results on every run and at every
@@ -21,9 +26,9 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -39,9 +44,9 @@ var ErrDeadlock = errors.New("sim: deadlock — processes blocked with no pendin
 // engine and let the process continue.
 type Abort struct{ Err error }
 
-// killedPanic terminates the goroutine of a process killed by fault
-// injection. It is never visible to user code: Spawn's recover treats it
-// as a clean process exit.
+// killedPanic unwinds the body of a process killed by fault injection. It
+// is never visible to user code: Spawn's recover treats it as a clean
+// process exit.
 type killedPanic struct{}
 
 type event struct {
@@ -104,9 +109,10 @@ func (h *eventHeap) pop() event {
 func (h eventHeap) peek() *event { return &h[0] }
 
 // Observer receives engine lifecycle callbacks for observability. Every
-// method is invoked with the engine lock held: implementations must be
-// fast, must not block, and must not call back into the engine. All hooks
-// are nil-checked so a nil observer costs one predictable branch.
+// method is invoked on the run's one thread of control, between process
+// steps: implementations must be fast, must not block, and must not call
+// back into the engine. All hooks are nil-checked so a nil observer costs
+// one predictable branch.
 type Observer interface {
 	// OnAdvance is called after every batch of events fired at one virtual
 	// instant: the new virtual time, how many events fired at it, and the
@@ -115,7 +121,7 @@ type Observer interface {
 	// OnBlock is called when a process parks (Wait, WaitUntil, Await).
 	OnBlock(proc string, now float64)
 	// OnWake is called when a parked process resumes. wallLatency is the
-	// wall-clock delay between the waking event and the goroutine actually
+	// wall-clock delay between the waking event and the process actually
 	// resuming, which includes the turns of the processes ahead of it in
 	// the run queue (0 when unknown, e.g. the initial release at time 0).
 	OnWake(proc string, now float64, wallLatency float64)
@@ -124,11 +130,13 @@ type Observer interface {
 // Engine is a discrete-event simulation. Create with NewEngine, add
 // processes with Spawn, then call Run.
 //
-// One process runs at a time; the goroutines of all others are parked.
-// When the running process blocks or exits, its own goroutine picks the
-// next runnable process and resumes it, and when no process is runnable
-// it first fires the next instant's events itself. The resume order is
-// fixed by these rules:
+// One process runs at a time; the coroutines of all others are suspended.
+// When the running process blocks or exits, it picks the next runnable
+// process, first firing the next instant's events itself while no process
+// is runnable, and hands it the turn: it suspends (or finishes) and Run's
+// driver loop resumes the next one. A process that the events of its own
+// turn woke keeps running with no switch. The resume order is fixed by
+// these rules:
 //
 //   - Making a process runnable (an event or another process waking it)
 //     puts it in a "next" slot; whatever was in the slot moves to the
@@ -147,7 +155,6 @@ type Observer interface {
 // the process in the slot moves to the back of the queue. The code below
 // applies that directly instead of queueing an entry for the engine.
 type Engine struct {
-	mu      sync.Mutex
 	now     float64
 	seq     uint64
 	events  eventHeap
@@ -162,9 +169,13 @@ type Engine struct {
 	head     int
 	runnable int
 
-	result   error         // what Run returns, set when the run stops
-	panicked any           // a panic raised by an event callback, re-raised by Run
-	finished chan struct{} // closed when the last process goroutine exits
+	// handoff is the process Run resumes next, set by the process that
+	// blocked or exited; nil once the run is over.
+	handoff *Process
+	started bool
+
+	result   error // what Run returns, set when the run stops
+	panicked any   // a panic raised by an event callback, re-raised by Run
 
 	// deadlockNote is extra context (e.g. which ranks were lost to fault
 	// injection) appended to a deadlock report.
@@ -174,45 +185,26 @@ type Engine struct {
 	fired *Condition
 }
 
-// SetDeadlockNoteLocked records a note appended to any subsequent deadlock
+// SetDeadlockNote records a note appended to any subsequent deadlock
 // report, so that e.g. a hang after fault injection names the lost ranks.
-// Must be called with the engine lock held (event-callback context).
-func (e *Engine) SetDeadlockNoteLocked(note string) { e.deadlockNote = note }
+func (e *Engine) SetDeadlockNote(note string) { e.deadlockNote = note }
 
 // SetObserver installs the engine observer. Call before Run; a nil
 // observer (the default) disables all callbacks.
-func (e *Engine) SetObserver(o Observer) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.obs = o
-}
+func (e *Engine) SetObserver(o Observer) { e.obs = o }
 
 // NewEngine returns an empty engine at virtual time 0.
 func NewEngine() *Engine {
-	e := &Engine{}
-	e.fired = &Condition{engine: e, fired: true}
-	return e
+	return &Engine{fired: &Condition{fired: true}}
 }
 
-// Now returns the current virtual time in seconds. Safe to call from
-// process goroutines and event callbacks.
-func (e *Engine) Now() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.now
-}
+// Now returns the current virtual time in seconds.
+func (e *Engine) Now() float64 { return e.now }
 
-// At schedules fn to run at virtual time t (clamped to now). fn runs with
-// the engine lock held; it must not block and must not call At-locking
-// methods — use at() conventions: schedule further events with atLocked.
-// External callers use At before Run or from process context.
+// At schedules fn to run at virtual time t (clamped to now). Call it
+// before Run, from a process or from another event callback. fn must not
+// block.
 func (e *Engine) At(t float64, fn func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.atLocked(t, fn)
-}
-
-func (e *Engine) atLocked(t float64, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
@@ -220,27 +212,23 @@ func (e *Engine) atLocked(t float64, fn func()) {
 	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
-// AtLocked schedules fn at time t without acquiring the engine lock. It
-// must only be called from an event callback (which already runs with the
-// lock held); calling it from any other context is a data race.
-func (e *Engine) AtLocked(t float64, fn func()) { e.atLocked(t, fn) }
-
-// NowLocked returns the virtual time without locking; like AtLocked it is
-// only for use inside event callbacks.
-func (e *Engine) NowLocked() float64 { return e.now }
-
 // Process is a simulated thread of execution. Its methods must only be
-// called from the goroutine running the process body.
+// called from the process body.
 type Process struct {
 	engine *Engine
 	name   string
-	wake   chan struct{} // receives the turn to run
+	body   func(p *Process)
 	done   bool
 	parked bool // true while blocked in block(); guards double-unblock
-	killed bool // set by KillLocked; the process dies at its next wake
+	killed bool // set by Kill; the process dies at its next wake
 
-	// blocked-on description for deadlock diagnostics; written under the
-	// engine lock by AwaitOp and cleared on wake.
+	// resume runs the process's coroutine until it suspends or finishes;
+	// suspend, called by the process, hands control back to Run.
+	resume  func() (struct{}, bool)
+	suspend func(struct{}) bool
+
+	// blocked-on description for deadlock diagnostics; written by AwaitOp
+	// and cleared on wake.
 	blockOp   string
 	blockPeer int
 	blockTag  int64
@@ -265,28 +253,28 @@ func (p *Process) Name() string { return p.name }
 func (p *Process) Engine() *Engine { return p.engine }
 
 // Now returns the current virtual time.
-func (p *Process) Now() float64 { return p.engine.Now() }
+func (p *Process) Now() float64 { return p.engine.now }
 
 // Spawn registers a process whose body starts executing at time 0 when Run
-// is called. The body runs in its own goroutine; when it returns, the
-// process is finished. Call before Run.
+// is called. The body runs as a coroutine of the goroutine that calls Run;
+// when it returns, the process is finished. A body that calls
+// runtime.Goexit ends the goroutine that called Run. Call before Run.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	p := &Process{engine: e, name: name, wake: make(chan struct{}, 1)}
+	p := &Process{engine: e, name: name, body: body}
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.wake // wait for the process's first turn
-		defer func() { e.exit(p, recover()) }()
-		body(p)
-	}()
 	return p
+}
+
+// run is the process's coroutine: the body, then its exit.
+func (p *Process) run(suspend func(struct{}) bool) {
+	p.suspend = suspend
+	defer func() { p.engine.exit(p, recover()) }()
+	p.body(p)
 }
 
 // exit finishes the process whose body returned or panicked with r, and
 // hands the turn on.
 func (e *Engine) exit(p *Process, r any) {
-	e.mu.Lock()
 	switch v := r.(type) {
 	case nil:
 		// normal return
@@ -303,21 +291,14 @@ func (e *Engine) exit(p *Process, r any) {
 		}
 	}
 	p.done = true
-	next := e.yieldLocked()
-	e.mu.Unlock()
-	if next == nil {
-		close(e.finished)
-		return
-	}
-	next.wake <- struct{}{}
+	e.handoff = e.yield()
 }
 
-// KillLocked marks the process as crashed. If it is parked on a simulated
-// operation it is woken immediately and its goroutine terminates (via an
-// internal panic that Spawn treats as a clean exit); otherwise it dies the
-// next time it blocks. Must be called with the engine lock held — i.e.
-// from an event callback, which only runs when no process is executing.
-func (p *Process) KillLocked() {
+// Kill marks the process as crashed. If it is parked on a simulated
+// operation it is woken immediately and its body unwinds (via an internal
+// panic that Spawn treats as a clean exit); otherwise it dies the next
+// time it blocks. Call it from an event callback.
+func (p *Process) Kill() {
 	if p.done || p.killed {
 		return
 	}
@@ -327,14 +308,9 @@ func (p *Process) KillLocked() {
 	}
 }
 
-// KilledLocked reports whether the process has been killed by fault
-// injection. Must be called with the engine lock held.
-func (p *Process) KilledLocked() bool { return p.killed }
-
 // block parks the calling process until an event or another process
 // wakes it via unblock, handing the turn to the next runnable process
-// meanwhile. The engine lock must be held on entry; it is released while
-// parked and re-acquired before returning.
+// meanwhile.
 func (p *Process) block() {
 	e := p.engine
 	if p.killed {
@@ -344,14 +320,11 @@ func (p *Process) block() {
 		e.obs.OnBlock(p.name, e.now)
 	}
 	p.parked = true
-	// A process woken by the events its own turn fired keeps running on its
-	// goroutine. next is never nil here: a run only stops once p is queued
-	// to be released.
-	if next := e.yieldLocked(); next != p {
-		e.mu.Unlock()
-		next.wake <- struct{}{}
-		<-p.wake
-		e.mu.Lock()
+	// A process woken by the events its own turn fired keeps running. next
+	// is never nil here: a run only stops once p is queued to be released.
+	if next := e.yield(); next != p {
+		e.handoff = next
+		p.suspend(struct{}{})
 	}
 	if p.killed {
 		panic(killedPanic{})
@@ -367,9 +340,8 @@ func (p *Process) block() {
 }
 
 // unblock makes the process runnable at the current virtual time: it takes
-// the run queue's slot. Must be called with the engine lock held (from an
-// event callback or process context). Idempotent: a process already woken
-// (e.g. by KillLocked racing a condition failure) is not woken twice.
+// the run queue's slot. Idempotent: a process already woken (e.g. by Kill
+// followed by a condition failure) is not woken twice.
 func (p *Process) unblock() {
 	if !p.parked {
 		return
@@ -379,40 +351,39 @@ func (p *Process) unblock() {
 	if e.obs != nil {
 		p.wakeWall = time.Now()
 	}
-	e.vacateSlotLocked()
+	e.vacateSlot()
 	e.slot = p
 	e.runnable++
 }
 
-// vacateSlotLocked moves the process in the run queue's slot, if any, to
-// the back of the queue.
-func (e *Engine) vacateSlotLocked() {
+// vacateSlot moves the process in the run queue's slot, if any, to the
+// back of the queue.
+func (e *Engine) vacateSlot() {
 	if e.slot != nil {
 		e.queue = append(e.queue, e.slot)
 		e.slot = nil
 	}
 }
 
-// yieldLocked is called, with the engine lock held, when the running
-// process has blocked or exited, and returns the process to resume next
-// (see nextLocked).
-func (e *Engine) yieldLocked() *Process {
-	e.vacateSlotLocked() // as the engine's entry taking the slot would
-	return e.nextLocked()
+// yield is called when the running process has blocked or exited, and
+// returns the process to resume next (see next).
+func (e *Engine) yield() *Process {
+	e.vacateSlot() // as the engine's entry taking the slot would
+	return e.next()
 }
 
-// nextLocked returns the next process to resume, firing the next
-// instant's events while no process is runnable, or nil once the run has
-// stopped and every process has exited. The engine lock must be held.
-func (e *Engine) nextLocked() *Process {
+// next returns the next process to resume, firing the next instant's
+// events while no process is runnable, or nil once the run has stopped
+// and every process has exited.
+func (e *Engine) next() *Process {
 	for e.runnable == 0 {
 		switch {
 		case e.stopped:
 			return nil
 		case e.failure != nil || len(e.events) == 0:
-			e.stopLocked()
+			e.stop()
 		default:
-			e.fireLocked()
+			e.fire()
 		}
 	}
 	e.runnable--
@@ -429,13 +400,13 @@ func (e *Engine) nextLocked() *Process {
 	return p
 }
 
-// fireLocked advances to the next event time and fires every event at
-// it. A panicking callback stops the run; Run re-raises the panic.
-func (e *Engine) fireLocked() {
+// fire advances to the next event time and fires every event at it. A
+// panicking callback stops the run; Run re-raises the panic.
+func (e *Engine) fire() {
 	defer func() {
 		if r := recover(); r != nil {
 			e.panicked = r
-			e.stopLocked()
+			e.stop()
 		}
 	}()
 	next := e.events.peek().at
@@ -451,10 +422,10 @@ func (e *Engine) fireLocked() {
 	}
 }
 
-// stopLocked ends the run: it records Run's result, then kills every
-// process that has not finished and makes it runnable, so that its
-// goroutine exits through the killed path instead of staying parked.
-func (e *Engine) stopLocked() {
+// stop ends the run: it records Run's result, then kills every process
+// that has not finished and makes it runnable, so that its body unwinds
+// through the killed path instead of staying parked.
+func (e *Engine) stop() {
 	e.stopped = true
 	e.result = e.failure
 	for _, p := range e.procs {
@@ -475,9 +446,7 @@ func (p *Process) Wait(d float64) {
 		panic("sim: negative wait")
 	}
 	e := p.engine
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.atLocked(e.now+d, p.unblock)
+	e.At(e.now+d, p.unblock)
 	p.block()
 }
 
@@ -485,30 +454,27 @@ func (p *Process) Wait(d float64) {
 // the past).
 func (p *Process) WaitUntil(t float64) {
 	e := p.engine
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if t <= e.now {
 		return
 	}
-	e.atLocked(t, p.unblock)
+	e.At(t, p.unblock)
 	p.block()
 }
 
 // Condition is a simulated one-shot condition: processes can block on it
 // with Await, callbacks can be chained with OnFire, and it is fired exactly
-// once by an event callback or another process. Fire may precede Await;
-// Await then returns immediately. Multiple processes may Await the same
-// condition.
+// once by an event callback or a process. Fire may precede Await; Await
+// then returns immediately. Multiple processes may Await the same
+// condition. The zero value is a condition that has not fired.
 type Condition struct {
-	engine    *Engine
 	fired     bool
 	err       error // non-nil when the condition was failed, not fired
 	waiters   []*Process
 	callbacks []func()
 }
 
-// NewCondition returns a one-shot condition on the engine.
-func (e *Engine) NewCondition() *Condition { return &Condition{engine: e} }
+// NewCondition returns a one-shot condition for the engine's processes.
+func (e *Engine) NewCondition() *Condition { return &Condition{} }
 
 // FiredCondition returns the engine's one condition that has already
 // fired, for operations complete at the moment they are issued. It is
@@ -516,10 +482,9 @@ func (e *Engine) NewCondition() *Condition { return &Condition{engine: e} }
 // and Err is nil.
 func (e *Engine) FiredCondition() *Condition { return e.fired }
 
-// FireLocked fires the condition; the engine lock must be held. Chained
-// callbacks run immediately (still under the lock), then all waiting
-// processes are released at the current virtual time.
-func (c *Condition) FireLocked() {
+// Fire fires the condition: chained callbacks run immediately, then all
+// waiting processes are released at the current virtual time.
+func (c *Condition) Fire() {
 	if c.fired {
 		return
 	}
@@ -534,40 +499,25 @@ func (c *Condition) FireLocked() {
 	c.waiters = nil
 }
 
-// FailLocked fires the condition with an error: waiters wake as usual but
-// Err reports err afterwards, letting the operation that was awaiting the
+// Fail fires the condition with an error: waiters wake as usual but Err
+// reports err afterwards, letting the operation that was awaiting the
 // condition surface a typed failure (e.g. a lost rank) instead of hanging.
 // No-op if the condition already fired or failed.
-func (c *Condition) FailLocked(err error) {
+func (c *Condition) Fail(err error) {
 	if c.fired {
 		return
 	}
 	c.err = err
-	c.FireLocked()
+	c.Fire()
 }
 
 // Err returns the error the condition was failed with, or nil if it fired
-// normally (or has not fired yet). Safe from process context.
-func (c *Condition) Err() error {
-	c.engine.mu.Lock()
-	defer c.engine.mu.Unlock()
-	return c.err
-}
+// normally (or has not fired yet).
+func (c *Condition) Err() error { return c.err }
 
-// ErrLocked is Err for use with the engine lock already held.
-func (c *Condition) ErrLocked() error { return c.err }
-
-// OnFire registers fn to run (under the engine lock) when the condition
-// fires; if it has already fired, fn runs immediately. Safe from process
-// context.
+// OnFire registers fn to run when the condition fires; if it has already
+// fired, fn runs immediately.
 func (c *Condition) OnFire(fn func()) {
-	c.engine.mu.Lock()
-	defer c.engine.mu.Unlock()
-	c.OnFireLocked(fn)
-}
-
-// OnFireLocked is OnFire for use inside event callbacks (lock held).
-func (c *Condition) OnFireLocked(fn func()) {
 	if c.fired {
 		fn()
 		return
@@ -575,20 +525,8 @@ func (c *Condition) OnFireLocked(fn func()) {
 	c.callbacks = append(c.callbacks, fn)
 }
 
-// Fire fires the condition, waking the awaiting process at the current
-// virtual time.
-func (c *Condition) Fire() {
-	c.engine.mu.Lock()
-	defer c.engine.mu.Unlock()
-	c.FireLocked()
-}
-
 // Fired reports whether the condition has fired.
-func (c *Condition) Fired() bool {
-	c.engine.mu.Lock()
-	defer c.engine.mu.Unlock()
-	return c.fired
-}
+func (c *Condition) Fired() bool { return c.fired }
 
 // Await blocks the process until the condition fires.
 func (c *Condition) Await(p *Process) {
@@ -599,11 +537,8 @@ func (c *Condition) Await(p *Process) {
 // block on — an operation name plus an optional peer rank and tag (pass
 // peer < 0 to omit them) — so that a deadlock report can say which
 // operation each stuck process was waiting for. The label costs only
-// three field writes under the lock Await already takes.
+// three field writes.
 func (c *Condition) AwaitOp(p *Process, op string, peer int, tag int64) {
-	e := c.engine
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if c.fired {
 		return
 	}
@@ -626,25 +561,24 @@ func AwaitAll(p *Process, conds ...*Condition) {
 // or an Abort in a process body) as an error; the other processes are
 // then released and exit before Run returns. A panic in an event callback
 // propagates out of Run.
+//
+// Run is the driver loop of the process coroutines: it resumes the
+// process each block or exit hands the turn to, until none is left.
 func (e *Engine) Run() error {
-	e.mu.Lock()
-	if e.finished != nil {
-		e.mu.Unlock()
+	if e.started {
 		return errors.New("sim: engine already run")
 	}
-	e.finished = make(chan struct{})
+	e.started = true
 	for _, p := range e.procs {
+		// Every body runs to its end (a stopped run kills and releases the
+		// rest), so no coroutine is left to stop.
+		p.resume, _ = iter.Pull(p.run)
 		p.parked = true
 		p.unblock()
 	}
-	next := e.nextLocked()
-	e.mu.Unlock()
-	if next != nil {
-		next.wake <- struct{}{}
-		<-e.finished
+	for p := e.next(); p != nil; p, e.handoff = e.handoff, nil {
+		p.resume()
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.panicked != nil {
 		panic(e.panicked)
 	}
@@ -653,7 +587,6 @@ func (e *Engine) Run() error {
 
 // deadlockError builds the ErrDeadlock report: every stuck process with
 // the operation it is blocked on (capped at 8, the rest summarized).
-// Called with the engine lock held.
 func (e *Engine) deadlockError() error {
 	var blocked []string
 	total := 0

@@ -92,7 +92,7 @@ func TestEventsFireInOrderAtScale(t *testing.T) {
 	schedule = func(t float64, depth int) {
 		seq++
 		id := seq
-		e.atLocked(t, func() {
+		e.At(t, func() {
 			got = append(got, fired{e.now, id})
 			if depth < 2 {
 				x = x*1664525 + 1013904223
@@ -121,7 +121,7 @@ func TestEventsFireInOrderAtScale(t *testing.T) {
 func TestConditionFireBeforeAwait(t *testing.T) {
 	e := NewEngine()
 	c := e.NewCondition()
-	e.At(1, func() { c.FireLocked() })
+	e.At(1, func() { c.Fire() })
 	var at float64
 	e.Spawn("p", func(p *Process) {
 		p.Wait(5)
@@ -142,7 +142,7 @@ func TestConditionFireBeforeAwait(t *testing.T) {
 func TestConditionAwaitThenFire(t *testing.T) {
 	e := NewEngine()
 	c := e.NewCondition()
-	e.At(7, func() { c.FireLocked() })
+	e.At(7, func() { c.Fire() })
 	var at float64
 	e.Spawn("p", func(p *Process) {
 		c.Await(p)
@@ -159,9 +159,9 @@ func TestConditionAwaitThenFire(t *testing.T) {
 func TestAwaitAll(t *testing.T) {
 	e := NewEngine()
 	c1, c2, c3 := e.NewCondition(), e.NewCondition(), e.NewCondition()
-	e.At(1, func() { c2.FireLocked() })
-	e.At(4, func() { c1.FireLocked() })
-	e.At(2, func() { c3.FireLocked() })
+	e.At(1, func() { c2.Fire() })
+	e.At(4, func() { c1.Fire() })
+	e.At(2, func() { c3.Fire() })
 	var at float64
 	e.Spawn("p", func(p *Process) {
 		AwaitAll(p, c1, c2, c3)
@@ -416,7 +416,7 @@ func TestResumeOrder(t *testing.T) {
 	var log []string
 	resume := func(p *Process) { log = append(log, fmt.Sprintf("%s@%g", p.Name(), p.Now())) }
 	x, y, z, w := e.NewCondition(), e.NewCondition(), e.NewCondition(), e.NewCondition()
-	e.At(1, x.FireLocked) // wakes A, B, C, in the order they awaited
+	e.At(1, x.Fire) // wakes A, B, C, in the order they awaited
 	e.Spawn("F", func(p *Process) {
 		resume(p)
 		p.Wait(1) // woken at 1 after A, B and C, so F takes the slot
@@ -463,9 +463,55 @@ func TestResumeOrder(t *testing.T) {
 	}
 }
 
+// Process bodies never overlap: a plain counter of running bodies, kept
+// by 64 processes across thousands of blocks woken by events and by one
+// another, never exceeds 1 (and under -race the accesses are ordered).
+func TestOneProcessRunsAtATime(t *testing.T) {
+	e := NewEngine()
+	const procs, rounds = 64, 40
+	fired := make([][]*Condition, rounds)
+	for k := range fired {
+		fired[k] = make([]*Condition, procs)
+		for i := range fired[k] {
+			fired[k][i] = e.NewCondition()
+		}
+	}
+	running, maxRunning, steps := 0, 0, 0
+	step := func() {
+		running++
+		if running > maxRunning {
+			maxRunning = running
+		}
+		runtime.Gosched() // a concurrently running body would step in here
+		steps++
+		running--
+	}
+	for i := 0; i < procs; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Process) {
+			for k := 0; k < rounds; k++ {
+				step()
+				fired[k][i].Fire()
+				step()
+				fired[k][(i+procs-1)%procs].Await(p) // woken by a process
+				step()
+				p.Wait(float64(i%3) * 1e-3) // woken by an event
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if steps != 3*procs*rounds {
+		t.Fatalf("%d steps ran, want %d", steps, 3*procs*rounds)
+	}
+	if maxRunning != 1 {
+		t.Errorf("up to %d process bodies ran at once, want 1", maxRunning)
+	}
+}
+
 // A run that stops on a deadlock or a failed process releases the
-// goroutines of the processes still parked: they exit instead of waiting
-// on their wake channel forever.
+// processes still parked: their bodies unwind and their coroutines exit
+// instead of staying suspended forever.
 func TestStoppedRunReleasesGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, tc := range []struct {
